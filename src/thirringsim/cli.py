@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -301,6 +302,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # compare
 
 
+_NUMERIC_COLUMNS = ("g2", "beta", "T", "value", "weight_sum", "stderr")
+
+
+def _is_finite_row(row: dict) -> bool:
+    return all(row[c] is None or math.isfinite(row[c]) for c in _NUMERIC_COLUMNS)
+
+
 def _row_key(row: dict) -> tuple:
     return (row["variant"], round(row["g2"], 9), round(row["T"], 9), row["observable"])
 
@@ -317,6 +325,8 @@ def compare_files(
     Points within ``step_margin`` in g2 of a plateau discontinuity detected
     in the reference fermion-number data (adjacent-point jumps larger than
     ``step_jump``) are excluded from the pass/fail decision but still listed.
+    The comparison fails when no point is checked or when either file holds
+    a non-finite value.
     """
     _, test_rows = read_sweep_csv(test_path)
     _, ref_rows = read_sweep_csv(reference_path)
@@ -355,6 +365,14 @@ def compare_files(
     max_dev_key = None
     dev_sum = 0.0
     failures = []
+    problems = []
+    for path, rows in ((test_path, test_rows), (reference_path, ref_rows)):
+        bad = [r for r in rows if not _is_finite_row(r)]
+        if bad:
+            problems.append(
+                f"FAIL {len(bad)} of {len(rows)} rows of {path} hold non-finite values "
+                f"(first at {_row_key(bad[0])})"
+            )
     for row in test_rows:
         key = _row_key(row)
         ref_value = reference[key]["value"]
@@ -388,7 +406,10 @@ def compare_files(
         lines.append(
             f"stderr consistency: {n_within_3sigma}/{n_with_stderr} points within 3 sigma"
         )
-    passed = not failures
+    if not checked:
+        problems.append("FAIL no points compared")
+    passed = not failures and not problems
+    lines.extend(problems)
     for key, dev in failures[:10]:
         lines.append(f"FAIL {key}: deviation {dev:.6g} > tolerance {tolerance:g}")
     lines.append(f"result: {'PASS' if passed else 'FAIL'} (tolerance {tolerance:g})")

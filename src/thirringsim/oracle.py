@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .pauli import PauliSum, to_matrix
+from .pauli import PauliSum, cache_key, to_matrix
 from .statevector import QuantumState
 
 DIM_CAP = 2**12
@@ -27,10 +27,6 @@ class SpectralData:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _ham_key(op: PauliSum) -> tuple:
-    return (op.n_sites, tuple(sorted((j, complex(c)) for j, c in op.terms.items())))
 
 
 def dense_real(op: PauliSum) -> np.ndarray:
@@ -59,7 +55,7 @@ def _spectral_cached(key: tuple) -> SpectralData:
 
 def spectral(ham: PauliSum) -> SpectralData:
     """Eigendecomposition of a Hermitian Pauli sum, cached per operator."""
-    return _spectral_cached(_ham_key(ham))
+    return _spectral_cached(cache_key(ham))
 
 
 def thermal_expectation(ham: PauliSum, obs: PauliSum, beta: float) -> float:

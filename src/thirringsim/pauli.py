@@ -268,6 +268,11 @@ class PauliSum:
         return f"PauliSum({body or '0'})"
 
 
+def cache_key(op: PauliSum) -> tuple:
+    """Hashable canonical form of a sum, for caches keyed on the operator."""
+    return (op.n_sites, tuple(sorted((j, complex(c)) for j, c in op.terms.items())))
+
+
 def sym_transpose_product(p1: PauliString, p2: PauliString) -> PauliSum:
     """The operator p1*p2 + (p1*p2)^T, transpose in the computational basis.
 

@@ -1,16 +1,20 @@
 """Quantum imaginary-time evolution steps and trajectories.
 
-Each step builds the Gram system (S + S^T) a = b from expectation values
-on the current state, solves it by truncated-SVD least squares, drops
-coefficients below a magnitude threshold and applies the resulting
-generator as a first-order Trotter product of Pauli rotations.  Chaining
+Each step solves McLachlan's least-squares problem min ||A a - w|| (McArdle
+et al., npj QI 5, 75 (2019); Motta et al., Nat. Phys. 16, 205 (2020)):
+column j of A is the pool string s_j applied to the current state |phi>,
+and w = -i H|phi>.  The real coefficients a solve one real system by
+truncated-SVD least squares: [Re A; Im A] against [Re w; Im w], or Im A
+against Im w for the odd-Y pool on a real state.  Its normal equations are
+the Gram system G = 2 Re(A^H A), b = 2 Re(A^H w) of anticommutator and
+commutator expectations, which ``build_gram`` and ``build_rhs`` derive.
+Coefficients below a magnitude threshold are dropped and the generator is
+applied as a first-order Trotter product of Pauli rotations.  Chaining
 steps from a basis state yields a trajectory with per-step weights whose
 running product is the state's contribution to the thermal trace.
 
-The pair structure of the Gram matrix and of the b vector is independent
-of the state, so it is computed once per (pool, Hamiltonian) and cached;
-per step only the expectation values of the distinct product strings are
-evaluated.
+The permutation and phase arrays of the pool strings and of the
+Hamiltonian's terms are cached, so A and w are one fancy index each.
 """
 from __future__ import annotations
 
@@ -21,7 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracle
-from .pauli import PauliString, PauliSum, minus_i_commutator, multiply, unpack
+from .pauli import PauliString, PauliSum, cache_key, unpack
+# The benchmark counts Pauli products through these two names.
+from .pauli import minus_i_commutator, multiply  # noqa: F401
 from .statevector import (
     QuantumState,
     _string_action,
@@ -109,7 +115,11 @@ def make_pool(kind: str, n_sites: int) -> OperatorPool:
 
 @dataclass
 class StepRecord:
-    """Solved coefficients and bookkeeping of one imaginary-time step."""
+    """Solved coefficients and bookkeeping of one imaginary-time step.
+
+    ``residual`` is the McLachlan residual ||A a - w|| before thresholding
+    (its imaginary part for the odd-Y pool, which is all of it for real H).
+    """
 
     a: np.ndarray
     c_step: float
@@ -135,84 +145,26 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# state-independent pair structure
-
-
-@dataclass
-class _ProductTable:
-    """Permutation/phase arrays of the distinct product strings of a plan."""
-
-    index_of: dict[int, int]
-    perms: np.ndarray
-    phases: np.ndarray
-
-
-def _build_table(letters_by_packed: dict[int, tuple[int, ...]], n_sites: int) -> _ProductTable:
-    dim = 2**n_sites
-    packed = sorted(letters_by_packed)
-    perms = np.empty((len(packed), dim), dtype=np.intp)
-    phases = np.empty((len(packed), dim), dtype=complex)
-    for row, j in enumerate(packed):
-        perm, phase = _string_action(letters_by_packed[j])
-        perms[row] = perm
-        phases[row] = phase
-    return _ProductTable({j: row for row, j in enumerate(packed)}, perms, phases)
-
-
-def _table_expectations(table: _ProductTable, amps: np.ndarray) -> np.ndarray:
-    """Real parts of <phi|P|phi> for every distinct product string."""
-    return ((table.phases * amps[table.perms]) @ amps.conj()).real
+# the McLachlan least-squares problem min ||A a - w||
 
 
 @lru_cache(maxsize=8)
 def _gram_plan(pool: OperatorPool):
-    n = pool.size
-    coef = np.zeros((n, n))
-    pid = np.zeros((n, n), dtype=np.intp)
-    letters_by_packed: dict[int, tuple[int, ...]] = {}
-    packed_matrix = np.zeros((n, n), dtype=np.int64)
-    for i, p1 in enumerate(pool.strings):
-        for j in range(i, n):
-            ph = multiply(p1, pool.strings[j])
-            re = ph.phase.real
-            if re == 0.0:  # anticommuting pair: the symmetrized entry vanishes
-                continue
-            jp = ph.string.packed_index
-            letters_by_packed[jp] = ph.string.letters
-            coef[i, j] = coef[j, i] = 2.0 * re
-            packed_matrix[i, j] = packed_matrix[j, i] = jp
-    letters_by_packed.setdefault(0, (0,) * pool.n_sites)
-    table = _build_table(letters_by_packed, pool.n_sites)
-    for i in range(n):
-        for j in range(n):
-            if coef[i, j] != 0.0:
-                pid[i, j] = table.index_of[packed_matrix[i, j]]
-    return coef, pid, table
-
-
-def _rhs_key(ham: PauliSum) -> tuple:
-    return (ham.n_sites, tuple(sorted((j, complex(c)) for j, c in ham.terms.items())))
+    """(pool, 2^N) perm and phase arrays: (s_j|phi>)[i] = phases[j, i] * phi[perms[j, i]]."""
+    actions = [_string_action(s.letters) for s in pool.strings]
+    return np.array([p for p, _ in actions]), np.array([ph for _, ph in actions])
 
 
 @lru_cache(maxsize=16)
 def _rhs_plan(pool: OperatorPool, ham_key: tuple):
+    """Perm arrays of the Hamiltonian's terms and their phase arrays times the coefficients."""
     n_sites, items = ham_key
     if n_sites != pool.n_sites:
         raise ValueError("pool and Hamiltonian act on different site counts")
-    ham_strings = [(PauliString(unpack(j, n_sites)), c) for j, c in items]
-    letters_by_packed: dict[int, tuple[int, ...]] = {}
-    triplets = []  # (pool row, product packed index, weight)
-    for row, sigma in enumerate(pool.strings):
-        for hs, hc in ham_strings:
-            com = minus_i_commutator(sigma, hs)
-            for ps, cc in com.items():
-                letters_by_packed[ps.packed_index] = ps.letters
-                triplets.append((row, ps.packed_index, (hc * cc).real))
-    table = _build_table(letters_by_packed or {0: (0,) * n_sites}, n_sites)
-    weights = np.zeros((pool.size, len(table.index_of)))
-    for row, jp, w in triplets:
-        weights[row, table.index_of[jp]] += w
-    return weights, table
+    actions = [_string_action(unpack(j, n_sites)) for j, _ in items]
+    perms = np.array([p for p, _ in actions], dtype=np.intp).reshape(len(items), 2**n_sites)
+    phases = np.array([c * ph for (_, ph), (_, c) in zip(actions, items)], dtype=complex)
+    return perms, phases.reshape(perms.shape)
 
 
 def _check_pool_state(state: QuantumState, pool: OperatorPool) -> None:
@@ -225,47 +177,63 @@ def _check_pool_state(state: QuantumState, pool: OperatorPool) -> None:
         )
 
 
+def _real_rows(pool: OperatorPool, z: np.ndarray) -> np.ndarray:
+    """Im z for the odd-Y pool (A is imaginary on real states), else [Re z; Im z]."""
+    return z.imag if pool.kind == ODD_Y else np.concatenate([z.real, z.imag])
+
+
+def _design_matrix(state: QuantumState, pool: OperatorPool) -> np.ndarray:
+    """Real form of A, whose column j is s_j|phi>."""
+    _check_pool_state(state, pool)
+    perms, phases = _gram_plan(pool)
+    return _real_rows(pool, (phases * state.amplitudes[perms]).T)
+
+
+def _target(state: QuantumState, pool: OperatorPool, ham: PauliSum) -> np.ndarray:
+    """Real form of w = -i H|phi>, the imaginary-time derivative of the state."""
+    if not ham.is_hermitian():
+        raise ValueError("the Hamiltonian must have real coefficients")
+    perms, phases = _rhs_plan(pool, cache_key(ham))
+    return _real_rows(pool, -1j * np.sum(phases * state.amplitudes[perms], axis=0))
+
+
 def build_gram(state: QuantumState, pool: OperatorPool) -> np.ndarray:
     """Symmetric matrix of anticommutator expectations over the pool.
 
-    Entry (j1, j2) is <phi|s_j1 s_j2 + s_j2 s_j1|phi>, which equals twice
-    the real Gram matrix of the vectors s_j|phi> and is therefore positive
+    Entry (j1, j2) is <phi|s_j1 s_j2 + s_j2 s_j1|phi> = 2 Re(A^H A), twice
+    the real Gram matrix of the vectors s_j|phi>, so it is positive
     semidefinite for any state.
     """
-    _check_pool_state(state, pool)
-    coef, pid, table = _gram_plan(pool)
-    exps = _table_expectations(table, state.amplitudes)
-    return coef * exps[pid]
+    m = _design_matrix(state, pool)
+    return 2.0 * (m.T @ m)
 
 
 def build_rhs(state: QuantumState, pool: OperatorPool, ham: PauliSum, c_step: float) -> np.ndarray:
     """Commutator expectations against the Hamiltonian, scaled by 1/sqrt(C).
 
-    Component j is sum_j' h_j' <phi| -i(s_j s_j' - s_j' s_j) |phi> / sqrt(C),
-    the generator ordering that drives the state toward exp(-dbeta H)|phi>.
+    Component j is sum_j' h_j' <phi| -i(s_j s_j' - s_j' s_j) |phi> / sqrt(C)
+    = 2 Re(A^H w)_j / sqrt(C), the generator ordering that drives the state
+    toward exp(-dbeta H)|phi>.
     """
     if c_step <= 0:
         raise NonPositiveWeightError(f"c_step must be positive, got {c_step}")
-    _check_pool_state(state, pool)
-    if not ham.is_hermitian():
-        raise ValueError("the Hamiltonian must have real coefficients")
-    weights, table = _rhs_plan(pool, _rhs_key(ham))
-    exps = _table_expectations(table, state.amplitudes)
-    return (weights @ exps) / math.sqrt(c_step)
+    m = _design_matrix(state, pool)
+    return 2.0 * (m.T @ _target(state, pool, ham)) / math.sqrt(c_step)
 
 
-def solve(gram: np.ndarray, b: np.ndarray, svd_cutoff: float = DEFAULT_SVD_CUTOFF):
+def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_CUTOFF):
     """Minimum-norm least-squares solution with singular-value truncation.
 
-    Returns (a, residual_norm).  The Gram matrix is generically singular on
-    product states, so plain solves are not an option.
+    Singular values below ``svd_cutoff`` times the largest one count as
+    zero.  Returns (a, residual_norm).  The systems of a step are
+    generically rank deficient, so plain solves are not an option.
     """
-    gram = np.asarray(gram, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(b))):
+    matrix = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
         raise ValueError("non-finite entries in the linear system")
-    a, *_ = np.linalg.lstsq(gram, b, rcond=svd_cutoff)
-    residual = float(np.linalg.norm(gram @ a - b))
+    a, *_ = np.linalg.lstsq(matrix, rhs, rcond=svd_cutoff)
+    residual = float(np.linalg.norm(matrix @ a - rhs))
     return a, residual
 
 
@@ -316,11 +284,15 @@ def step(
         raise ValueError("trotter_steps must be at least 1")
     if b_scaling not in B_SCALINGS:
         raise ValueError(f"unknown b_scaling {b_scaling!r}; expected one of {B_SCALINGS}")
+    matrix = _design_matrix(state, pool)
+    rhs = _target(state, pool, ham)
     energy = expectation(state, ham).real
     c_step = _c_step_value(state, ham, dbeta, energy, c_mode)
-    gram = build_gram(state, pool)
-    b = build_rhs(state, pool, ham, c_step if b_scaling == B_INVERSE_SQRT_C else 1.0)
-    a, residual = solve(gram, b, svd_cutoff)
+    if b_scaling == B_INVERSE_SQRT_C:
+        rhs = rhs / math.sqrt(c_step)
+    # G = 2 A^T A has the squared singular values of A, so its cutoff maps
+    # to the square root on A
+    a, residual = solve(matrix, rhs, math.sqrt(svd_cutoff))
     a = np.where(np.abs(a) > threshold, a, 0.0)
     kept = int(np.count_nonzero(a))
     new_state = state.copy()

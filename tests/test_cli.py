@@ -156,6 +156,40 @@ class TestCompareCommand:
         assert passed
         assert "result: PASS" in report
 
+    def test_header_only_file_fails(self, tmp_path):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        empty = tmp_path / "empty.csv"
+        empty.write_text(
+            "".join(l for l in sweep_out.read_text().splitlines(True) if l.startswith("#"))
+            + ",".join(cli.CSV_COLUMNS) + "\n"
+        )
+        passed, report = cli.compare_files(str(empty), str(oracle_out))
+        assert not passed
+        assert "FAIL no points compared" in report
+        assert report.splitlines()[-1].startswith("result: FAIL")
+
+    def test_all_nan_file_fails(self, tmp_path, capsys):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        lines = sweep_out.read_text().splitlines(True)
+        nan_out = tmp_path / "nan.csv"
+        with open(nan_out, "w") as fh:
+            for line in lines:
+                parts = line.split(",")
+                if not line.startswith("#") and parts[0] != "variant":
+                    parts[cli.CSV_COLUMNS.index("value")] = "nan"
+                fh.write(",".join(parts))
+        passed, report = cli.compare_files(str(nan_out), str(oracle_out))
+        assert not passed
+        assert "non-finite values" in report
+        assert cli.main(["compare", str(oracle_out), str(nan_out)]) == 1
+        assert "result: FAIL" in capsys.readouterr().out
+
+    def test_normal_file_passes_at_default_tolerance(self, tmp_path, capsys):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        assert cli.main(["compare", str(sweep_out), str(oracle_out)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "result: PASS" in out
+
     def test_grid_mismatch_diagnostic(self, tmp_path):
         sweep_out, _ = self._write_pair(tmp_path)
         other = tmp_path / "other.csv"

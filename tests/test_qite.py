@@ -1,6 +1,8 @@
 """Imaginary-time step machinery: Gram system, solver, step, trajectories."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thirringsim import model, oracle, pauli, qite
 from thirringsim import statevector as sv
@@ -249,6 +251,75 @@ class TestStep:
             state, _ = qite.step(state, ham, 0.25, pool4)
             worst = max(worst, state.max_imag())
         assert worst < 1e-8
+
+
+def random_hermitian_sum(n, rng, n_terms=8):
+    """Random sum with real coefficients on any strings, odd-Y ones included."""
+    return PauliSum(
+        n, {int(j): float(rng.normal()) for j in rng.integers(1, 4**n, size=n_terms)}
+    )
+
+
+def random_complex_state(n, rng):
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return sv.QuantumState(n, v / np.linalg.norm(v))
+
+
+def dense_columns(state, pool):
+    """A with column j = s_j|phi>, from dense string matrices."""
+    return np.column_stack([to_matrix(s) @ state.amplitudes for s in pool.strings])
+
+
+FACTORED_CASES = {
+    qite.ODD_Y: (sv.random_real_state, random_real_symmetric_sum),
+    qite.FULL: (random_complex_state, random_hermitian_sum),
+}
+
+
+class TestFactoredSolve:
+    """The step solves min ||A a - w|| with the same result as the Gram system."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(sorted(FACTORED_CASES)), seed=st.integers(0, 2**32 - 1))
+    def test_step_matches_gram_solve(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        make_state, make_ham = FACTORED_CASES[kind]
+        pool = qite.make_pool(kind, 4)
+        state, ham = make_state(4, rng), make_ham(4, rng)
+        _, record = qite.step(state, ham, 0.1, pool, threshold=0.0)
+        want, _ = qite.solve(
+            qite.build_gram(state, pool), qite.build_rhs(state, pool, ham, 1.0),
+            qite.DEFAULT_SVD_CUTOFF,
+        )
+        assert np.linalg.norm(record.a - want) <= 1e-10 * np.linalg.norm(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(sorted(FACTORED_CASES)), seed=st.integers(0, 2**32 - 1))
+    def test_gram_is_twice_real_part_of_a_h_a(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        pool = qite.make_pool(kind, 4)
+        state = FACTORED_CASES[kind][0](4, rng)
+        a = dense_columns(state, pool)
+        assert np.max(np.abs(qite.build_gram(state, pool) - 2.0 * (a.conj().T @ a).real)) < 1e-12
+
+    def test_residual_is_mclachlan_residual(self, pool4):
+        rng = np.random.default_rng(13)
+        state = sv.random_real_state(4, rng)
+        ham = random_real_symmetric_sum(4, rng)
+        _, record = qite.step(state, ham, 0.1, pool4, threshold=0.0)
+        w = -1j * (to_matrix(ham, n_sites=4) @ state.amplitudes)
+        want = np.linalg.norm(dense_columns(state, pool4) @ record.a - w)
+        assert record.residual == pytest.approx(want, rel=1e-9)
+
+    def test_step_rejects_non_hermitian_hamiltonian(self, pool4):
+        ham = PauliSum(4, {3: 1.0, 12: 0.5j})
+        with pytest.raises(ValueError, match="real coefficients"):
+            qite.step(sv.basis_state(0, 4), ham, 0.1, pool4)
+
+    def test_step_rejects_complex_state_with_odd_y_pool(self, pool4):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="real-amplitude"):
+            qite.step(random_complex_state(4, rng), model.build_h3(4), 0.1, pool4)
 
 
 class TestTrajectory:
