@@ -91,21 +91,37 @@ def check_commutator_vs_dense() -> CheckResult:
     return CheckResult("commutator_vs_dense", True, f"{count} pairs exact and Hermitian")
 
 
-def check_gram_psd() -> CheckResult:
+def check_design_spectrum() -> CheckResult:
+    """The odd-Y design matrix Im A on a real unit state has d - 1 singular values sqrt(d/2).
+
+    The matrices -i s_j of the odd-Y strings are an orthogonal basis of the
+    real antisymmetric d x d matrices, each with squared Frobenius norm d,
+    and column j of Im A is -i s_j|phi>, so Im A Im A^T = (d/2)(I - |phi><phi|).  One wrong perm or phase entry
+    in the cached pool plan, which the step's solve and its Trotter slice
+    both read, breaks this.
+    """
     rng = np.random.default_rng(15)
-    pool = qite.OperatorPool.odd_y(4)
-    worst = np.inf
+    n_sites = 4
+    dim = 2**n_sites
+    pool = qite.make_pool(qite.ODD_Y, n_sites)
+    worst = 0.0
+    ranks = set()
     for _ in range(5):
-        state = random_real_state(4, rng)
-        gram = qite.build_gram(state, pool)
-        worst = min(worst, float(np.linalg.eigvalsh(gram)[0]))
-    ok = worst >= -1e-10
-    return CheckResult("gram_psd", ok, f"minimum Gram eigenvalue {worst:.3e}")
+        s2 = np.linalg.svd(qite._design_matrix(random_real_state(n_sites, rng), pool),
+                           compute_uv=False) ** 2
+        nonzero = s2[s2 > 1e-9 * dim]
+        ranks.add(nonzero.size)
+        worst = max(worst, float(np.max(np.abs(nonzero - dim / 2))))
+    ok = ranks == {dim - 1} and worst < 1e-10
+    return CheckResult(
+        "design_spectrum", ok,
+        f"rank {sorted(ranks)} (want {dim - 1}), largest |s^2 - {dim // 2}| {worst:.3e}",
+    )
 
 
 def check_even_y_rhs_vanishes() -> CheckResult:
     rng = np.random.default_rng(16)
-    pool = qite.OperatorPool.full_minus_identity(3)
+    pool = qite.make_pool(qite.FULL, 3)
     ham = pauli.PauliSum.from_strings(
         [(pauli.PauliString((3, 0, 0)), 0.7), (pauli.PauliString((1, 1, 0)), 0.4),
          (pauli.PauliString((0, 3, 3)), -0.3)]
@@ -124,7 +140,7 @@ def check_even_y_rhs_vanishes() -> CheckResult:
 def check_real_state_preservation() -> CheckResult:
     params = model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)
     ham = model.assemble(params).hamiltonian
-    pool = qite.OperatorPool.odd_y(4)
+    pool = qite.make_pool(qite.ODD_Y, 4)
     state = basis_state(3, 4)
     worst = 0.0
     for _ in range(20):
@@ -163,7 +179,7 @@ def check_duality() -> CheckResult:
 def check_fidelity_scaling() -> CheckResult:
     rng = np.random.default_rng(17)
     ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
-    pool = qite.OperatorPool.full_minus_identity(4)
+    pool = qite.make_pool(qite.FULL, 4)
     dbetas = [0.2, 0.1, 0.05, 0.025]
     slopes = []
     for _ in range(3):
@@ -187,7 +203,7 @@ ALL_CHECKS = (
     check_involution,
     check_transpose_sum_vs_dense,
     check_commutator_vs_dense,
-    check_gram_psd,
+    check_design_spectrum,
     check_even_y_rhs_vanishes,
     check_real_state_preservation,
     check_duality,

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -325,8 +326,8 @@ def compare_files(
     Points within ``step_margin`` in g2 of a plateau discontinuity detected
     in the reference fermion-number data (adjacent-point jumps larger than
     ``step_jump``) are excluded from the pass/fail decision but still listed.
-    The comparison fails when no point is checked or when either file holds
-    a non-finite value.
+    The comparison fails when no point is checked, when either file holds
+    a non-finite value, or when either file holds a point twice.
     """
     _, test_rows = read_sweep_csv(test_path)
     _, ref_rows = read_sweep_csv(reference_path)
@@ -373,6 +374,12 @@ def compare_files(
                 f"FAIL {len(bad)} of {len(rows)} rows of {path} hold non-finite values "
                 f"(first at {_row_key(bad[0])})"
             )
+        repeated = [k for k, n in Counter(_row_key(r) for r in rows).items() if n > 1]
+        if repeated:
+            problems.append(
+                f"FAIL {len(repeated)} points of {path} appear more than once "
+                f"(first {repeated[0]})"
+            )
     for row in test_rows:
         key = _row_key(row)
         ref_value = reference[key]["value"]
@@ -410,6 +417,8 @@ def compare_files(
         problems.append("FAIL no points compared")
     passed = not failures and not problems
     lines.extend(problems)
+    if checked:
+        lines.append(f"{len(failures)} of {checked} checked points fail")
     for key, dev in failures[:10]:
         lines.append(f"FAIL {key}: deviation {dev:.6g} > tolerance {tolerance:g}")
     lines.append(f"result: {'PASS' if passed else 'FAIL'} (tolerance {tolerance:g})")

