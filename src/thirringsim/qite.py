@@ -13,7 +13,9 @@ applied as a first-order Trotter product of Pauli rotations: the kept
 rotations are multiplied once into the 2^N x 2^N matrix of one Trotter
 slice, which is then applied ``trotter_steps`` times.  Chaining steps from
 a basis state yields a trajectory with per-step weights whose running
-product is the state's contribution to the thermal trace.
+product is the state's contribution to the thermal trace.  The trajectory
+keeps its states, and ``measure`` then evaluates every observable on all
+of them in one pass, exactly or from one shot batch per step.
 
 The permutation and phase arrays of the pool strings and of the
 Hamiltonian's terms are cached, so A and w are one fancy index each and a
@@ -22,7 +24,7 @@ rotation is one row permutation and scaling of the slice matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +38,7 @@ from .pauli import minus_i_commutator, multiply  # noqa: F401
 from .statevector import apply_rotation  # noqa: F401
 from .statevector import (
     QuantumState,
+    _operator_plan,
     _string_action,
     basis_state,
     estimate_diagonal,
@@ -147,16 +150,18 @@ class StepRecord:
 class Trajectory:
     """K chained steps from one initial state.
 
+    ``states[k-1]`` is the state after step k, at inverse temperature
+    beta = 2*k*dbeta, in a (K, 2^N) array that is real when every state is;
     ``cumulative_weights[k-1]`` is the product of the first k step weights;
-    ``observables[name][k-1]`` is the measured value after step k, at
-    inverse temperature beta = 2*k*dbeta.
+    ``observables[name][k-1]`` is the value measured on ``states[k-1]``.
     """
 
     initial_index: int
     records: list[StepRecord]
     cumulative_weights: list[float]
-    observables: dict[str, list[float]]
-    observable_variances: dict[str, list[float]]
+    states: np.ndarray
+    observables: dict[str, list[float]] = field(default_factory=dict)
+    observable_variances: dict[str, list[float]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +177,14 @@ def _gram_plan(pool: OperatorPool):
 
 @lru_cache(maxsize=16)
 def _rhs_plan(pool: OperatorPool, ham_key: tuple):
-    """Perm arrays of the Hamiltonian's terms and their phase arrays times the coefficients."""
-    n_sites, items = ham_key
-    if n_sites != pool.n_sites:
+    """Perm arrays of the Hamiltonian's terms and their phase arrays times the coefficients.
+
+    The arrays are ``_operator_plan``'s; this cache stays because the
+    benchmark reads its hit ratio.
+    """
+    if ham_key[0] != pool.n_sites:
         raise ValueError("pool and Hamiltonian act on different site counts")
-    actions = [_string_action(unpack(j, n_sites)) for j, _ in items]
-    perms = np.array([p for p, _ in actions], dtype=np.intp).reshape(len(items), 2**n_sites)
-    phases = np.array([c * ph for (_, ph), (_, c) in zip(actions, items)], dtype=complex)
-    return perms, phases.reshape(perms.shape)
+    return _operator_plan(ham_key)
 
 
 def _check_pool_state(state: QuantumState, pool: OperatorPool) -> None:
@@ -344,6 +349,41 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
+def measure(
+    trajectory: Trajectory,
+    observables: dict[str, PauliSum],
+    mode: str = MODE_EXACT,
+    shots: int = 1024,
+    seed: int = 0,
+) -> Trajectory:
+    """The trajectory with every observable measured on all its states at once.
+
+    Shots mode draws one batch of ``shots`` per step k, with a seed derived
+    from (seed, label, k), that serves every observable.
+    """
+    n_steps = len(trajectory.states)
+    if mode == MODE_SHOTS:
+        label = trajectory.initial_index
+        seeds = [_derived_seed(seed, label, k) for k in range(1, n_steps + 1)]
+        counts = sample(trajectory.states, shots, seeds)
+        measured = {
+            name: (estimate_diagonal(counts, obs), estimate_diagonal_variance(counts, obs))
+            for name, obs in observables.items()
+        }
+    elif mode == MODE_EXACT:
+        measured = {
+            name: (expectation(trajectory.states, obs).real, np.zeros(n_steps))
+            for name, obs in observables.items()
+        }
+    else:
+        raise ValueError(f"unknown measurement mode {mode!r}")
+    return replace(
+        trajectory,
+        observables={name: value.tolist() for name, (value, _) in measured.items()},
+        observable_variances={name: var.tolist() for name, (_, var) in measured.items()},
+    )
+
+
 def run_trajectory_from_state(
     state: QuantumState,
     label: int,
@@ -360,40 +400,26 @@ def run_trajectory_from_state(
     c_mode: str = C_EXPONENTIAL,
     b_scaling: str = B_UNIT,
 ) -> Trajectory:
-    """Chain ``n_steps`` steps from an explicit initial state.
+    """Chain ``n_steps`` steps from an explicit initial state, then ``measure`` them.
 
-    After step k the cumulative weight and every observable are recorded;
-    step k corresponds to inverse temperature beta = 2*k*dbeta.  In shots
-    mode one batch of measurements per step serves all observables, with a
-    sampling seed derived deterministically from (seed, label, k).
+    Step k corresponds to inverse temperature beta = 2*k*dbeta.
     """
-    if mode not in (MODE_EXACT, MODE_SHOTS):
-        raise ValueError(f"unknown measurement mode {mode!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     records: list[StepRecord] = []
-    weights: list[float] = []
-    obs_values: dict[str, list[float]] = {name: [] for name in observables}
-    obs_vars: dict[str, list[float]] = {name: [] for name in observables}
-    cumulative = 1.0
-    for k in range(1, n_steps + 1):
+    states = []
+    for _ in range(n_steps):
         state, record = step(
             state, ham, dbeta, pool, trotter_steps, threshold, c_mode,
             b_scaling=b_scaling,
         )
         records.append(record)
-        cumulative *= record.c_step
-        weights.append(cumulative)
-        if mode == MODE_SHOTS:
-            counts = sample(state, shots, _derived_seed(seed, label, k))
-            for name, obs in observables.items():
-                obs_values[name].append(estimate_diagonal(counts, obs))
-                obs_vars[name].append(estimate_diagonal_variance(counts, obs))
-        else:
-            for name, obs in observables.items():
-                obs_values[name].append(expectation(state, obs).real)
-                obs_vars[name].append(0.0)
-    return Trajectory(label, records, weights, obs_values, obs_vars)
+        states.append(state.amplitudes)
+    states = np.array(states)
+    if not states.imag.any():
+        states = states.real.copy()
+    weights = np.cumprod([r.c_step for r in records]).tolist()
+    return measure(Trajectory(label, records, weights, states), observables, mode, shots, seed)
 
 
 def run_trajectory(

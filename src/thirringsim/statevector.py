@@ -13,9 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, PhasedString, Y, Z
-
-NORM_TOL = 1e-10
+from .pauli import PauliString, PauliSum, PhasedString, Y, Z, cache_key, unpack
 
 
 @dataclass
@@ -45,16 +43,19 @@ class QuantumState:
         return float(np.max(np.abs(self.amplitudes.imag)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotCounts:
-    """Computational-basis measurement record; bitstring keys show site N-1 first."""
+    """Computational-basis measurement record: ``counts[i]`` shots gave basis index i.
+
+    A batch of K states has (K, 2^N) counts and a K-tuple of seeds.
+    """
 
     shots: int
-    counts: dict[str, int]
-    seed: int
+    counts: np.ndarray
+    seed: int | tuple[int, ...]
 
     def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+        if np.any(np.sum(self.counts, axis=-1) != self.shots):
             raise ValueError("counts must add up to the number of shots")
 
 
@@ -121,87 +122,97 @@ def apply_rotation(state: QuantumState, p: PauliString, theta: float) -> Quantum
     return QuantumState(state.n_sites, out)
 
 
-def expectation(state: QuantumState, op: PauliSum | PauliString) -> complex:
-    """<state|op|state> computed exactly; real up to rounding for Hermitian op."""
+def _amplitudes(state: QuantumState | np.ndarray) -> np.ndarray:
+    return state.amplitudes if isinstance(state, QuantumState) else np.asarray(state)
+
+
+def _probabilities(state: QuantumState | np.ndarray) -> np.ndarray:
+    probs = np.abs(_amplitudes(state)) ** 2
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+@lru_cache(maxsize=64)
+def _operator_plan(key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Perms and coefficient-weighted phases of an operator's terms, by ``pauli.cache_key``.
+
+    (op|phi>)[i] = sum_t phases[t, i] * phi[perms[t, i]].
+    """
+    n_sites, items = key
+    actions = [_string_action(unpack(j, n_sites)) for j, _ in items]
+    perms = np.array([p for p, _ in actions], dtype=np.intp).reshape(len(items), 2**n_sites)
+    phases = np.array([c * ph for (_, ph), (_, c) in zip(actions, items)], dtype=complex)
+    phases = phases.reshape(perms.shape)
+    perms.flags.writeable = phases.flags.writeable = False
+    return perms, phases
+
+
+def expectation(
+    state: QuantumState | np.ndarray, op: PauliSum | PauliString
+) -> complex | np.ndarray:
+    """<state|op|state> computed exactly; real up to rounding for Hermitian op.
+
+    A (K, 2^N) array of amplitudes, one state per row, gives K expectations.
+    """
     if isinstance(op, PauliString):
         op = PauliSum(op.n_sites, {op.packed_index: 1.0})
-    if op.n_sites != state.n_sites:
+    amps = _amplitudes(state)
+    if amps.shape[-1] != 2**op.n_sites:
         raise ValueError("state and operator act on different site counts")
-    amps = state.amplitudes
-    conj = amps.conj()
-    val = 0.0 + 0.0j
-    for j, c in op.terms.items():
-        perm, phase = _string_action(
-            tuple((j // 4**n) % 4 for n in range(op.n_sites))
-        )
-        val += c * np.dot(conj, phase * amps[perm])
-    return complex(val)
+    perms, phases = _operator_plan(cache_key(op))
+    values = np.sum(amps.conj() * np.sum(phases * amps[..., perms], axis=-2), axis=-1)
+    return complex(values) if values.ndim == 0 else values
 
 
-def sample(state: QuantumState, shots: int, seed: int) -> ShotCounts:
-    """Draw computational-basis shots i.i.d. with probability |amplitude|^2."""
+def sample(state: QuantumState | np.ndarray, shots: int, seed: int | list[int]) -> ShotCounts:
+    """Draw computational-basis shots i.i.d. with probability |amplitude|^2.
+
+    A (K, 2^N) array of amplitudes takes K seeds, one generator per row.
+    """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(len(probs), size=shots, p=probs)
-    values, counts = np.unique(outcomes, return_counts=True)
-    n = state.n_sites
-    return ShotCounts(
-        shots=shots,
-        counts={format(int(v), f"0{n}b"): int(c) for v, c in zip(values, counts)},
-        seed=seed,
-    )
+    probs = _probabilities(state)
+    dim = probs.shape[-1]
+    batch = probs.ndim == 2
+    seeds = tuple(seed) if batch else (seed,)
+    counts = [
+        np.bincount(np.random.default_rng(s).choice(dim, size=shots, p=p), minlength=dim)
+        for s, p in zip(seeds, probs.reshape(-1, dim), strict=True)
+    ]
+    return ShotCounts(shots, np.reshape(counts, probs.shape), seeds if batch else seed)
 
 
-def _diagonal_eigenvalues(op: PauliSum) -> np.ndarray:
-    """Eigenvalue of a Z/identity-only sum on every basis index."""
-    dim = 2**op.n_sites
-    idx = np.arange(dim)
-    eig = np.zeros(dim)
-    for j, c in op.terms.items():
-        letters = tuple((j // 4**n) % 4 for n in range(op.n_sites))
+@lru_cache(maxsize=64)
+def _diagonal_eigenvalues(key: tuple) -> np.ndarray:
+    """Eigenvalue on every basis index of a Z/identity-only sum, by ``pauli.cache_key``."""
+    n_sites, items = key
+    for j, _ in items:
+        letters = unpack(j, n_sites)
         if any(l not in (0, Z) for l in letters):
             raise ValueError(
                 f"operator term {PauliString(letters)} is not Z-diagonal; "
                 "shot estimation only supports Z/identity observables"
             )
-        term = np.ones(dim)
-        for site, l in enumerate(letters):
-            if l == Z:
-                term = term * (1 - 2 * ((idx >> site) & 1))
-        eig += c.real * term
+    eig = _operator_plan(key)[1].real.sum(axis=0)
+    eig.flags.writeable = False
     return eig
 
 
-def estimate_diagonal(counts: ShotCounts, op: PauliSum) -> float:
-    """Counts-weighted average of the diagonal eigenvalues of op."""
-    eig = _diagonal_eigenvalues(op)
-    total = 0.0
-    for bits, c in counts.counts.items():
-        total += c * eig[int(bits, 2)]
-    return total / counts.shots
+def estimate_diagonal(counts: ShotCounts, op: PauliSum) -> float | np.ndarray:
+    """Counts-weighted average of the diagonal eigenvalues of op, per counts row."""
+    return counts.counts @ _diagonal_eigenvalues(cache_key(op)) / counts.shots
 
 
-def estimate_diagonal_variance(counts: ShotCounts, op: PauliSum) -> float:
-    """Plug-in variance of the shot-mean estimator (sample variance / shots)."""
-    eig = _diagonal_eigenvalues(op)
-    m1 = 0.0
-    m2 = 0.0
-    for bits, c in counts.counts.items():
-        v = eig[int(bits, 2)]
-        m1 += c * v
-        m2 += c * v * v
-    m1 /= counts.shots
-    m2 /= counts.shots
-    return max(m2 - m1 * m1, 0.0) / counts.shots
+def estimate_diagonal_variance(counts: ShotCounts, op: PauliSum) -> float | np.ndarray:
+    """Plug-in variance of the shot-mean estimator (sample variance / shots), per counts row."""
+    eig = _diagonal_eigenvalues(cache_key(op))
+    m1 = counts.counts @ eig / counts.shots
+    m2 = counts.counts @ eig**2 / counts.shots
+    return np.maximum(m2 - m1 * m1, 0.0) / counts.shots
 
 
-def exact_diagonal_variance(state: QuantumState, op: PauliSum) -> float:
-    """Single-shot variance of a Z-diagonal observable under |amplitude|^2."""
-    eig = _diagonal_eigenvalues(op)
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    mean = float(np.dot(probs, eig))
-    return float(np.dot(probs, eig**2) - mean**2)
+def exact_diagonal_variance(state: QuantumState | np.ndarray, op: PauliSum) -> float | np.ndarray:
+    """Single-shot variance of a Z-diagonal observable under |amplitude|^2, per state."""
+    eig = _diagonal_eigenvalues(cache_key(op))
+    probs = _probabilities(state)
+    mean = probs @ eig
+    return probs @ eig**2 - mean**2

@@ -1,8 +1,9 @@
 """Thermal averaging over imaginary-time trajectories.
 
-One trajectory per initial state, combined at every intermediate step k
-into the weighted average sum_i C_i O_i / sum_i C_i, so a single
-imaginary-time pass yields the whole temperature grid T = 1/(2 k dbeta).
+One trajectory per initial state is evolved, then measured on its stored
+states, and combined at every intermediate step k into the weighted
+average sum_i C_i O_i / sum_i C_i, so a single imaginary-time pass yields
+the whole temperature grid T = 1/(2 k dbeta).
 The default initial set is the complete computational basis; a random
 real-state set provides a stochastic trace estimate with standard errors.
 """
@@ -60,24 +61,32 @@ class ThermalTable:
         return [row for row in self.rows if row.observable == observable]
 
 
-def _aggregate(
+def aggregate(
     trajectories: list[Trajectory],
     observables: dict[str, PauliSum],
     dbeta: float,
-    n_steps: int,
-    stderr_from_spread: bool,
-    propagate_shot_errors: bool,
+    stderr_from_spread: bool = False,
+    propagate_shot_errors: bool = False,
 ) -> ThermalTable:
+    """Weighted averages of measured trajectories at every step.
+
+    Evolved trajectories can be measured again by ``qite.measure``, under
+    any sampling seed, and averaged here without a second evolution.
+    """
+    if not trajectories:
+        raise ValueError("need at least one trajectory")
     n = len(trajectories)
+    n_steps = len(trajectories[0].cumulative_weights)
     rows = []
     for name in observables:
         for k in range(1, n_steps + 1):
             weights = np.array([t.cumulative_weights[k - 1] for t in trajectories])
             values = np.array([t.observables[name][k - 1] for t in trajectories])
             weight_sum = float(np.sum(weights))
-            if weight_sum <= 0:
+            if not 0 < weight_sum < np.inf:  # also false for nan
                 raise RuntimeError(
-                    f"non-positive weight sum {weight_sum:.6g} at k={k} for {name!r}; "
+                    f"weight sum {weight_sum:.6g} at k={k} for {name!r} "
+                    "is not finite and positive; "
                     f"per-state weights range [{weights.min():.3g}, {weights.max():.3g}]"
                 )
             value = float(np.dot(weights, values) / weight_sum)
@@ -129,20 +138,14 @@ def qmetts_average(
     """
     if basis_indices is None:
         basis_indices = range(2**ham.n_sites)
-    basis_indices = sorted(basis_indices)
-    if not basis_indices:
-        raise ValueError("the basis set must be non-empty")
     trajectories = [
         run_trajectory(
             i, ham, dbeta, n_steps, observables, pool,
             mode, shots, seed, trotter_steps, threshold, c_mode, b_scaling,
         )
-        for i in basis_indices
+        for i in sorted(basis_indices)
     ]
-    return _aggregate(
-        trajectories, observables, dbeta, n_steps,
-        stderr_from_spread=False, propagate_shot_errors=(mode == MODE_SHOTS),
-    )
+    return aggregate(trajectories, observables, dbeta, propagate_shot_errors=(mode == MODE_SHOTS))
 
 
 def average_over_states(
@@ -162,8 +165,6 @@ def average_over_states(
     stderr_from_spread: bool = True,
 ) -> ThermalTable:
     """Weighted thermal average over an explicit list of initial states."""
-    if not states:
-        raise ValueError("need at least one initial state")
     trajectories = [
         run_trajectory_from_state(
             state, label, ham, dbeta, n_steps, observables, pool,
@@ -171,10 +172,9 @@ def average_over_states(
         )
         for label, state in enumerate(states)
     ]
-    return _aggregate(
-        trajectories, observables, dbeta, n_steps,
-        stderr_from_spread=stderr_from_spread,
-        propagate_shot_errors=(mode == MODE_SHOTS),
+    return aggregate(
+        trajectories, observables, dbeta,
+        stderr_from_spread=stderr_from_spread, propagate_shot_errors=(mode == MODE_SHOTS),
     )
 
 

@@ -219,33 +219,30 @@ def test_a8_shot_statistics(tmp_path):
     pool = qite.OperatorPool.odd_y(4)
     observables = model.default_observables(4)
 
-    # exact-probability prediction: replay the (seed-independent) evolution
-    # and propagate the single-shot variances through the weighted average
-    weights = {k: [] for k in range(1, n_steps + 1)}
-    variances = {(name, k): [] for name in observables for k in range(1, n_steps + 1)}
-    for i in range(16):
-        state = sv.basis_state(i, 4)
-        cumulative = 1.0
-        for k in range(1, n_steps + 1):
-            state, record = qite.step(state, ham, 0.25, pool)
-            cumulative *= record.c_step
-            weights[k].append(cumulative)
-            for name, op in observables.items():
-                variances[(name, k)].append(sv.exact_diagonal_variance(state, op))
+    # the evolution does not depend on the sampling seed: evolve the 16
+    # trajectories once, predict the spread from the single-shot variances
+    # propagated through the weighted average, then measure them per seed
+    trajectories = [
+        qite.run_trajectory(i, ham, 0.25, n_steps, observables, pool) for i in range(16)
+    ]
     predicted = {}
-    for name in observables:
+    for name, op in observables.items():
         for k in range(1, n_steps + 1):
-            w = np.array(weights[k])
-            v = np.array(variances[(name, k)])
+            w = np.array([t.cumulative_weights[k - 1] for t in trajectories])
+            v = np.array([sv.exact_diagonal_variance(t.states[k - 1], op) for t in trajectories])
             predicted[(name, k)] = float(np.sqrt(np.dot(w**2, v / shots)) / np.sum(w))
 
     n_seeds = 50
     values = {key: [] for key in predicted}
     for seed in range(n_seeds):
-        table = thermal.qmetts_average(
-            ham, observables, 0.25, n_steps, pool,
-            mode=qite.MODE_SHOTS, shots=shots, seed=seed,
-        )
+        measured = [
+            qite.measure(t, observables, qite.MODE_SHOTS, shots, seed) for t in trajectories
+        ]
+        table = thermal.aggregate(measured, observables, 0.25, propagate_shot_errors=True)
+        if seed == 0:
+            assert table == thermal.qmetts_average(
+                ham, observables, 0.25, n_steps, pool, mode=qite.MODE_SHOTS, shots=shots, seed=seed,
+            )
         for (name, k) in values:
             values[(name, k)].append(table.value(name, k))
 

@@ -225,6 +225,31 @@ class TestCompareCommand:
         assert f"{checked} of {checked} checked points fail" in report
         assert sum(line.startswith("FAIL (") for line in report.splitlines()) == 10
 
+    def test_reference_points_missing_from_test_file_fail(self, tmp_path, capsys):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        lines = sweep_out.read_text().splitlines(True)
+        first_row = lines.index(",".join(cli.CSV_COLUMNS) + "\n") + 1
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(lines[:first_row + 1]))
+        passed, report = cli.compare_files(str(cut), str(oracle_out), tolerance=0.2)
+        n_ref = len(cli.read_sweep_csv(str(oracle_out))[1])
+        assert not passed
+        assert f"FAIL {n_ref - 1} of {n_ref} reference points are missing from {cut}" in report
+        assert report.splitlines()[-1].startswith("result: FAIL")
+        assert cli.main(["compare", str(cut), str(oracle_out), "--tolerance", "0.2"]) == 1
+        assert "reference points are missing" in capsys.readouterr().out
+
+    def test_exclusion_window_is_printed_as_an_open_interval(self, tmp_path):
+        # the low-temperature fermion number steps between g2 = 0.6 and 0.7, so
+        # with the 0.2 margin the rule excludes 0.4 < g2 < 0.9 and checks both ends
+        oracle_out = tmp_path / "oracle.csv"
+        cli.cmd_oracle(tiny_config(output=str(oracle_out), t_grid=cli.T_GRID_QMETTS,
+                                   g2_start=0.4, g2_stop=1.0, g2_step=0.1, dbeta=0.25))
+        passed, report = cli.compare_files(str(oracle_out), str(oracle_out))
+        assert passed
+        assert "exclusion window: variant=euclidean g2 in (0.4, 0.9)" in report
+        assert "compared 12 points (16 excluded near plateau steps)" in report
+
     def test_grid_mismatch_diagnostic(self, tmp_path):
         sweep_out, _ = self._write_pair(tmp_path)
         other = tmp_path / "other.csv"

@@ -437,3 +437,33 @@ class TestTrajectory:
         c = qite.run_trajectory(1, ham, 0.25, 3, obs, pool4, mode=qite.MODE_SHOTS, shots=256, seed=43)
         assert a.observables == b.observables
         assert a.observables != c.observables
+
+    def test_states_are_the_chained_steps(self, pool4):
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
+        traj = qite.run_trajectory(6, ham, 0.25, 4, model.default_observables(4), pool4)
+        assert traj.states.shape == (4, 16) and traj.states.dtype == float
+        state = sv.basis_state(6, 4)
+        for row in traj.states:
+            state, _ = qite.step(state, ham, 0.25, pool4)
+            assert np.array_equal(row, state.amplitudes.real)
+
+    def test_measure_under_another_seed_matches_a_fresh_run(self, pool4):
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
+        obs = model.default_observables(4)
+        exact = qite.run_trajectory(2, ham, 0.25, 3, obs, pool4)
+        for seed in (0, 9):
+            kwargs = dict(mode=qite.MODE_SHOTS, shots=128, seed=seed)
+            fresh = qite.run_trajectory(2, ham, 0.25, 3, obs, pool4, **kwargs)
+            remeasured = qite.measure(exact, obs, **kwargs)
+            assert remeasured.states is exact.states
+            assert remeasured.observables == fresh.observables
+            assert remeasured.observable_variances == fresh.observable_variances
+        assert qite.measure(fresh, obs).observables == exact.observables
+
+    def test_non_diagonal_observable_rejected_in_shot_mode(self, pool4):
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
+        obs = {"x0": PauliSum(4, {pauli.pack((pauli.X, 0, 0, 0)): 1.0})}
+        with pytest.raises(ValueError, match="is not Z-diagonal; shot estimation only supports"):
+            qite.run_trajectory(0, ham, 0.25, 2, obs, pool4, mode=qite.MODE_SHOTS)
+        with pytest.raises(ValueError, match="unknown measurement mode"):
+            qite.run_trajectory(0, ham, 0.25, 2, obs, pool4, mode="tomography")

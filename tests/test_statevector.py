@@ -1,6 +1,8 @@
 """Statevector operations against dense-matrix and sampling-statistics oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thirringsim import model, pauli
 from thirringsim import statevector as sv
@@ -13,6 +15,36 @@ CHI2_15_P001 = 37.6973
 def random_state(n, rng):
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return sv.QuantumState(n, v / np.linalg.norm(v))
+
+
+def dict_sample(state, shots, seed):
+    """Reference: the shots as bitstring-keyed counts, site N-1 first."""
+    probs = np.abs(state.amplitudes) ** 2
+    probs = probs / probs.sum()
+    outcomes = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
+    values, counts = np.unique(outcomes, return_counts=True)
+    return {format(int(v), f"0{state.n_sites}b"): int(c) for v, c in zip(values, counts)}
+
+
+def dict_estimates(counts, shots, op):
+    """Reference: (mean, plug-in variance / shots) summed outcome by outcome."""
+    idx = np.arange(2**op.n_sites)
+    eig = np.zeros(2**op.n_sites)
+    for j, c in op.terms.items():
+        term = np.ones(2**op.n_sites)
+        for site, letter in enumerate(pauli.unpack(j, op.n_sites)):
+            assert letter in (0, pauli.Z)
+            if letter == pauli.Z:
+                term = term * (1 - 2 * ((idx >> site) & 1))
+        eig += c.real * term
+    m1 = m2 = 0.0
+    for bits, c in counts.items():
+        v = eig[int(bits, 2)]
+        m1 += c * v
+        m2 += c * v * v
+    m1 /= shots
+    m2 /= shots
+    return m1, max(m2 - m1 * m1, 0.0) / shots
 
 
 class TestBasisState:
@@ -155,10 +187,65 @@ class TestExpectation:
             assert abs(got - want) < 1e-12
 
 
+class TestBatchedExpectation:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_dense(self, n, seed):
+        rng = np.random.default_rng(seed)
+        off_diagonal = [int(rng.integers(0, 4)) for _ in range(n)]
+        off_diagonal[int(rng.integers(0, n))] = pauli.X
+        terms = {pauli.pack(tuple(off_diagonal)): float(rng.normal())}
+        for _ in range(5):
+            terms[pauli.random_string(n, rng).packed_index] = float(rng.normal())
+        op = PauliSum(n, terms)
+        states = rng.standard_normal((int(rng.integers(1, 8)), 2**n))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        want = np.einsum("ki,ij,kj->k", states, to_matrix(op, n_sites=n), states)
+        got = sv.expectation(states, op)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert abs(sv.expectation(sv.QuantumState(n, states[0]), op) - want[0]) < 1e-12
+
+    def test_site_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="site counts"):
+            sv.expectation(np.zeros((3, 8)), model.build_h2(4))
+
+
 class TestSampling:
+    def test_counts_and_estimates_match_bitstring_reference(self):
+        rng = np.random.default_rng(21)
+        ops = [*model.default_observables(4).values(), model.build_h2(4), model.build_h3(4)]
+        for seed in range(5):
+            state = sv.random_real_state(4, rng)
+            shots = int(rng.integers(1, 2048))
+            counts = sv.sample(state, shots, seed)
+            reference = dict_sample(state, shots, seed)
+            assert counts.counts.tolist() == [reference.get(f"{i:04b}", 0) for i in range(16)]
+            for op in ops:
+                mean, variance = dict_estimates(reference, shots, op)
+                assert sv.estimate_diagonal(counts, op) == mean
+                assert sv.estimate_diagonal_variance(counts, op) == variance
+
+    def test_batch_draws_each_row_from_its_own_seed(self):
+        rng = np.random.default_rng(22)
+        states = np.array([sv.random_real_state(4, rng).amplitudes.real for _ in range(5)])
+        seeds = [3, 1, 4, 1, 5]
+        batch = sv.sample(states, 300, seeds)
+        assert batch.seed == tuple(seeds) and batch.counts.shape == (5, 16)
+        op = model.build_h2(4)
+        means = sv.estimate_diagonal(batch, op)
+        variances = sv.estimate_diagonal_variance(batch, op)
+        for row, (state, seed) in enumerate(zip(states, seeds)):
+            one = sv.sample(sv.QuantumState(4, state), 300, seed)
+            assert np.array_equal(batch.counts[row], one.counts)
+            assert means[row] == sv.estimate_diagonal(one, op)
+            assert variances[row] == sv.estimate_diagonal_variance(one, op)
+        with pytest.raises(ValueError):
+            sv.sample(states, 300, seeds[:4])
+
     def test_basis_state_is_deterministic(self):
         counts = sv.sample(sv.basis_state(5, 4), shots=64, seed=1)
-        assert counts.counts == {"0101": 64}
+        assert counts.counts.tolist() == [64 if i == 0b0101 else 0 for i in range(16)]
         est = sv.estimate_diagonal(counts, model.build_h2(4))
         assert est == pytest.approx(2.0)
 
@@ -168,8 +255,8 @@ class TestSampling:
         a = sv.sample(state, shots=512, seed=7)
         b = sv.sample(state, shots=512, seed=7)
         c = sv.sample(state, shots=512, seed=8)
-        assert a.counts == b.counts
-        assert a.counts != c.counts
+        assert np.array_equal(a.counts, b.counts)
+        assert not np.array_equal(a.counts, c.counts)
 
     def test_uniform_superposition_z_mean(self):
         n = 4
@@ -186,7 +273,7 @@ class TestSampling:
         probs = np.abs(state.amplitudes) ** 2
         chi2 = 0.0
         for i, p in enumerate(probs):
-            observed = counts.counts.get(format(i, "04b"), 0)
+            observed = counts.counts[i]
             chi2 += (observed - shots * p) ** 2 / (shots * p)
         assert chi2 < CHI2_15_P001
 

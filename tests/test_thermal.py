@@ -71,6 +71,35 @@ class TestQmettsAverage:
             thermal.qmetts_average(ham, obs, 0.25, 2, pool4, basis_indices=[])
 
 
+class TestAggregate:
+    def test_remeasured_trajectories_equal_the_averaging_functions(self, setup, pool4):
+        ham, obs = setup
+        trajectories = [qite.run_trajectory(i, ham, 0.25, 3, obs, pool4) for i in range(16)]
+        assert thermal.aggregate(trajectories, obs, 0.25) == thermal.qmetts_average(
+            ham, obs, 0.25, 3, pool4
+        )
+        shots = dict(mode=qite.MODE_SHOTS, shots=64, seed=4)
+        remeasured = [qite.measure(t, obs, **shots) for t in trajectories[:2]]
+        # average_over_states labels its states 0, 1, ..., as basis states 0 and 1 are
+        states = [sv.basis_state(i, 4) for i in (0, 1)]
+        assert thermal.aggregate(
+            remeasured, obs, 0.25, stderr_from_spread=True, propagate_shot_errors=True
+        ) == thermal.average_over_states(states, ham, obs, 0.25, 3, pool4, **shots)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_sum_rejected(self, setup, pool4, bad):
+        ham, obs = setup
+        trajectories = [qite.run_trajectory(i, ham, 0.25, 2, obs, pool4) for i in (0, 5)]
+        trajectories[1].cumulative_weights[1] = bad
+        message = f"weight sum {bad} at k=2 for {model.CHIRAL_CONDENSATE!r} is not finite"
+        with pytest.raises(RuntimeError, match=message):
+            thermal.aggregate(trajectories, obs, 0.25)
+
+    def test_empty_trajectory_list_rejected(self, setup):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            thermal.aggregate([], setup[1], 0.25)
+
+
 class TestExplicitStates:
     def test_complete_orthonormal_set_is_basis_independent(self, setup, pool4):
         # the trace identity is exact only in the converged small-step limit;
