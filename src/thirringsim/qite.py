@@ -361,26 +361,21 @@ def measure(
     Shots mode draws one batch of ``shots`` per step k, with a seed derived
     from (seed, label, k), that serves every observable.
     """
-    n_steps = len(trajectory.states)
+    states, n_steps = trajectory.states, len(trajectory.states)
     if mode == MODE_SHOTS:
-        label = trajectory.initial_index
-        seeds = [_derived_seed(seed, label, k) for k in range(1, n_steps + 1)]
-        counts = sample(trajectory.states, shots, seeds)
-        measured = {
-            name: (estimate_diagonal(counts, obs), estimate_diagonal_variance(counts, obs))
-            for name, obs in observables.items()
-        }
+        seeds = [_derived_seed(seed, trajectory.initial_index, k) for k in range(1, n_steps + 1)]
+        counts = sample(states, shots, seeds)
+        values = [estimate_diagonal(counts, obs) for obs in observables.values()]
+        variances = [estimate_diagonal_variance(counts, obs) for obs in observables.values()]
     elif mode == MODE_EXACT:
-        measured = {
-            name: (expectation(trajectory.states, obs).real, np.zeros(n_steps))
-            for name, obs in observables.items()
-        }
+        values = [expectation(states, obs).real for obs in observables.values()]
+        variances = [np.zeros(n_steps)] * len(observables)
     else:
         raise ValueError(f"unknown measurement mode {mode!r}")
     return replace(
         trajectory,
-        observables={name: value.tolist() for name, (value, _) in measured.items()},
-        observable_variances={name: var.tolist() for name, (_, var) in measured.items()},
+        observables={name: v.tolist() for name, v in zip(observables, values)},
+        observable_variances={name: v.tolist() for name, v in zip(observables, variances)},
     )
 
 
