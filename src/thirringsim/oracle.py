@@ -65,7 +65,16 @@ def thermal_expectation(ham: PauliSum, obs: PauliSum, beta: float) -> float:
     diagonalizing (it cancels in the ratio), and the exponent is shifted
     by the minimum eigenvalue, so large beta cannot overflow.
     """
-    return float(thermal_expectation_grid(ham, {"obs": obs}, [beta])["obs"][0])
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
+    c0 = ham.identity_coefficient()
+    if c0 != 0:
+        ham = ham - PauliSum(ham.n_sites, {0: c0})
+    sd = spectral(ham)
+    w = np.exp(-beta * (sd.eigenvalues - sd.eigenvalues[0]))
+    o = dense_real(obs)
+    o_diag = np.einsum("ij,ij->j", sd.eigenvectors, o @ sd.eigenvectors)
+    return float(np.dot(w, o_diag) / np.sum(w))
 
 
 def thermal_expectation_grid(

@@ -14,8 +14,7 @@ rotations are multiplied once into the 2^N x 2^N matrix of one Trotter
 slice, which is then applied ``trotter_steps`` times.  Chaining steps from
 a basis state yields a trajectory with per-step weights whose running
 product is the state's contribution to the thermal trace.  The trajectory
-keeps its states, and ``measure`` then evaluates every observable on all
-of them in one pass, exactly or from one shot batch per step.
+keeps its states, and ``measure`` then evaluates every observable on them.
 
 The permutation and phase arrays of the pool strings and of the
 Hamiltonian's terms are cached, so A and w are one fancy index each and a
@@ -177,11 +176,7 @@ def _gram_plan(pool: OperatorPool):
 
 @lru_cache(maxsize=16)
 def _rhs_plan(pool: OperatorPool, ham_key: tuple):
-    """Perm arrays of the Hamiltonian's terms and their phase arrays times the coefficients.
-
-    The arrays are ``_operator_plan``'s; this cache stays because the
-    benchmark reads its hit ratio.
-    """
+    """``_operator_plan`` of the Hamiltonian: its terms' perms and coefficient-weighted phases."""
     if ham_key[0] != pool.n_sites:
         raise ValueError("pool and Hamiltonian act on different site counts")
     return _operator_plan(ham_key)
@@ -209,12 +204,12 @@ def _design_matrix(state: QuantumState, pool: OperatorPool) -> np.ndarray:
     return _real_rows(pool, (phases * state.amplitudes[perms]).T)
 
 
-def _target(state: QuantumState, pool: OperatorPool, ham: PauliSum) -> np.ndarray:
-    """Real form of w = -i H|phi>, the imaginary-time derivative of the state."""
+def _h_action(state: QuantumState, pool: OperatorPool, ham: PauliSum) -> np.ndarray:
+    """H|phi>; -i H|phi> is w, the imaginary-time derivative of the state."""
     if not ham.is_hermitian():
         raise ValueError("the Hamiltonian must have real coefficients")
     perms, phases = _rhs_plan(pool, cache_key(ham))
-    return _real_rows(pool, -1j * np.sum(phases * state.amplitudes[perms], axis=0))
+    return np.sum(phases * state.amplitudes[perms], axis=0)
 
 
 def build_gram(state: QuantumState, pool: OperatorPool) -> np.ndarray:
@@ -238,7 +233,7 @@ def build_rhs(state: QuantumState, pool: OperatorPool, ham: PauliSum, c_step: fl
     if c_step <= 0:
         raise NonPositiveWeightError(f"c_step must be positive, got {c_step}")
     m = _design_matrix(state, pool)
-    return 2.0 * (m.T @ _target(state, pool, ham)) / math.sqrt(c_step)
+    return 2.0 * (m.T @ _real_rows(pool, -1j * _h_action(state, pool, ham))) / math.sqrt(c_step)
 
 
 def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_CUTOFF):
@@ -327,8 +322,9 @@ def step(
     if b_scaling not in B_SCALINGS:
         raise ValueError(f"unknown b_scaling {b_scaling!r}; expected one of {B_SCALINGS}")
     matrix = _design_matrix(state, pool)
-    rhs = _target(state, pool, ham)
-    energy = expectation(state, ham).real
+    h_phi = _h_action(state, pool, ham)
+    rhs = _real_rows(pool, -1j * h_phi)
+    energy = float(np.sum(state.amplitudes.conj() * h_phi).real)
     c_step = _c_step_value(state, ham, dbeta, energy, c_mode)
     if b_scaling == B_INVERSE_SQRT_C:
         rhs = rhs / math.sqrt(c_step)
@@ -350,33 +346,33 @@ def _derived_seed(*parts: int) -> int:
 
 
 def measure(
-    trajectory: Trajectory,
-    observables: dict[str, PauliSum],
-    mode: str = MODE_EXACT,
-    shots: int = 1024,
-    seed: int = 0,
+    trajectory: Trajectory, observables: dict[str, PauliSum], mode: str = MODE_EXACT,
+    shots: int = 1024, seed: int = 0,
 ) -> Trajectory:
-    """The trajectory with every observable measured on all its states at once.
+    """The trajectory with every observable measured on its stored states.
 
-    Shots mode draws one batch of ``shots`` per step k, with a seed derived
-    from (seed, label, k), that serves every observable.
+    Exact mode evaluates each observable on all K states at once.  Shots
+    mode draws one batch of ``shots`` per step k, with a seed derived from
+    (seed, label, k), that serves every observable.
     """
-    states, n_steps = trajectory.states, len(trajectory.states)
+    states, label = trajectory.states, trajectory.initial_index
+    values, variances = {}, {}
     if mode == MODE_SHOTS:
-        seeds = [_derived_seed(seed, trajectory.initial_index, k) for k in range(1, n_steps + 1)]
-        counts = sample(states, shots, seeds)
-        values = [estimate_diagonal(counts, obs) for obs in observables.values()]
-        variances = [estimate_diagonal_variance(counts, obs) for obs in observables.values()]
+        n_sites = states.shape[1].bit_length() - 1
+        counts = [
+            sample(QuantumState(n_sites, amps), shots, _derived_seed(seed, label, k))
+            for k, amps in enumerate(states, start=1)
+        ]
+        for name, obs in observables.items():
+            values[name] = [estimate_diagonal(c, obs) for c in counts]
+            variances[name] = [estimate_diagonal_variance(c, obs) for c in counts]
     elif mode == MODE_EXACT:
-        values = [expectation(states, obs).real for obs in observables.values()]
-        variances = [np.zeros(n_steps)] * len(observables)
+        for name, obs in observables.items():
+            values[name] = expectation(states, obs).real.tolist()
+            variances[name] = [0.0] * len(states)
     else:
         raise ValueError(f"unknown measurement mode {mode!r}")
-    return replace(
-        trajectory,
-        observables={name: v.tolist() for name, v in zip(observables, values)},
-        observable_variances={name: v.tolist() for name, v in zip(observables, variances)},
-    )
+    return replace(trajectory, observables=values, observable_variances=variances)
 
 
 def run_trajectory_from_state(

@@ -45,17 +45,14 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class ShotCounts:
-    """Computational-basis measurement record: ``counts[i]`` shots gave basis index i.
-
-    A batch of K states has (K, 2^N) counts and a K-tuple of seeds.
-    """
+    """Computational-basis measurement record: ``counts[i]`` shots gave basis index i."""
 
     shots: int
     counts: np.ndarray
-    seed: int | tuple[int, ...]
+    seed: int
 
     def __post_init__(self):
-        if np.any(np.sum(self.counts, axis=-1) != self.shots):
+        if np.sum(self.counts) != self.shots:
             raise ValueError("counts must add up to the number of shots")
 
 
@@ -122,15 +119,6 @@ def apply_rotation(state: QuantumState, p: PauliString, theta: float) -> Quantum
     return QuantumState(state.n_sites, out)
 
 
-def _amplitudes(state: QuantumState | np.ndarray) -> np.ndarray:
-    return state.amplitudes if isinstance(state, QuantumState) else np.asarray(state)
-
-
-def _probabilities(state: QuantumState | np.ndarray) -> np.ndarray:
-    probs = np.abs(_amplitudes(state)) ** 2
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
 @lru_cache(maxsize=64)
 def _operator_plan(key: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Perms and coefficient-weighted phases of an operator's terms, by ``pauli.cache_key``.
@@ -155,7 +143,7 @@ def expectation(
     """
     if isinstance(op, PauliString):
         op = PauliSum(op.n_sites, {op.packed_index: 1.0})
-    amps = _amplitudes(state)
+    amps = state.amplitudes if isinstance(state, QuantumState) else state
     if amps.shape[-1] != 2**op.n_sites:
         raise ValueError("state and operator act on different site counts")
     perms, phases = _operator_plan(cache_key(op))
@@ -163,22 +151,14 @@ def expectation(
     return complex(values) if values.ndim == 0 else values
 
 
-def sample(state: QuantumState | np.ndarray, shots: int, seed: int | list[int]) -> ShotCounts:
-    """Draw computational-basis shots i.i.d. with probability |amplitude|^2.
-
-    A (K, 2^N) array of amplitudes takes K seeds, one generator per row.
-    """
+def sample(state: QuantumState, shots: int, seed: int) -> ShotCounts:
+    """Draw computational-basis shots i.i.d. with probability |amplitude|^2."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = _probabilities(state)
-    dim = probs.shape[-1]
-    batch = probs.ndim == 2
-    seeds = tuple(seed) if batch else (seed,)
-    counts = [
-        np.bincount(np.random.default_rng(s).choice(dim, size=shots, p=p), minlength=dim)
-        for s, p in zip(seeds, probs.reshape(-1, dim), strict=True)
-    ]
-    return ShotCounts(shots, np.reshape(counts, probs.shape), seeds if batch else seed)
+    probs = np.abs(state.amplitudes) ** 2
+    probs = probs / probs.sum()
+    outcomes = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
+    return ShotCounts(shots, np.bincount(outcomes, minlength=len(probs)), seed)
 
 
 @lru_cache(maxsize=64)
@@ -197,22 +177,23 @@ def _diagonal_eigenvalues(key: tuple) -> np.ndarray:
     return eig
 
 
-def estimate_diagonal(counts: ShotCounts, op: PauliSum) -> float | np.ndarray:
-    """Counts-weighted average of the diagonal eigenvalues of op, per counts row."""
-    return counts.counts @ _diagonal_eigenvalues(cache_key(op)) / counts.shots
+def estimate_diagonal(counts: ShotCounts, op: PauliSum) -> float:
+    """Counts-weighted average of the diagonal eigenvalues of op."""
+    return float(counts.counts @ _diagonal_eigenvalues(cache_key(op))) / counts.shots
 
 
-def estimate_diagonal_variance(counts: ShotCounts, op: PauliSum) -> float | np.ndarray:
-    """Plug-in variance of the shot-mean estimator (sample variance / shots), per counts row."""
+def estimate_diagonal_variance(counts: ShotCounts, op: PauliSum) -> float:
+    """Plug-in variance of the shot-mean estimator (sample variance / shots)."""
     eig = _diagonal_eigenvalues(cache_key(op))
-    m1 = counts.counts @ eig / counts.shots
-    m2 = counts.counts @ eig**2 / counts.shots
-    return np.maximum(m2 - m1 * m1, 0.0) / counts.shots
+    m1 = float(counts.counts @ eig) / counts.shots
+    m2 = float(counts.counts @ eig**2) / counts.shots
+    return max(m2 - m1 * m1, 0.0) / counts.shots
 
 
-def exact_diagonal_variance(state: QuantumState | np.ndarray, op: PauliSum) -> float | np.ndarray:
-    """Single-shot variance of a Z-diagonal observable under |amplitude|^2, per state."""
+def exact_diagonal_variance(state: QuantumState, op: PauliSum) -> float:
+    """Single-shot variance of a Z-diagonal observable under |amplitude|^2."""
     eig = _diagonal_eigenvalues(cache_key(op))
-    probs = _probabilities(state)
-    mean = probs @ eig
-    return probs @ eig**2 - mean**2
+    probs = np.abs(state.amplitudes) ** 2
+    probs = probs / probs.sum()
+    mean = float(probs @ eig)
+    return float(probs @ eig**2 - mean**2)

@@ -70,8 +70,8 @@ def aggregate(
 ) -> ThermalTable:
     """Weighted averages of measured trajectories at every step.
 
-    Evolved trajectories can be measured again by ``qite.measure``, under
-    any sampling seed, and averaged here without a second evolution.
+    ``qite.measure`` can measure evolved trajectories again, under any
+    sampling seed, so a new average needs no second evolution.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
@@ -85,8 +85,7 @@ def aggregate(
             weight_sum = float(np.sum(weights))
             if not 0 < weight_sum < np.inf:  # also false for nan
                 raise RuntimeError(
-                    f"weight sum {weight_sum:.6g} at k={k} for {name!r} "
-                    "is not finite and positive; "
+                    f"weight sum {weight_sum:.6g} at k={k} for {name!r} is not finite and positive; "
                     f"per-state weights range [{weights.min():.3g}, {weights.max():.3g}]"
                 )
             value = float(np.dot(weights, values) / weight_sum)

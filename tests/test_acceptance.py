@@ -229,7 +229,8 @@ def test_a8_shot_statistics(tmp_path):
     for name, op in observables.items():
         for k in range(1, n_steps + 1):
             w = np.array([t.cumulative_weights[k - 1] for t in trajectories])
-            v = np.array([sv.exact_diagonal_variance(t.states[k - 1], op) for t in trajectories])
+            states = [sv.QuantumState(4, t.states[k - 1]) for t in trajectories]
+            v = np.array([sv.exact_diagonal_variance(state, op) for state in states])
             predicted[(name, k)] = float(np.sqrt(np.dot(w**2, v / shots)) / np.sum(w))
 
     n_seeds = 50

@@ -183,6 +183,15 @@ class TestStep:
         assert record.c_step == pytest.approx(1 - 2 * 0.1 * energy)
         assert np.max(np.abs(new.amplitudes - state.amplitudes)) < 1e-12
 
+    def test_energy_is_the_expectation_of_h(self, pool4):
+        rng = np.random.default_rng(12)
+        ham = model.assemble(model.ModelParams(model.MINKOWSKI, 4, 0.5, 1.3)).hamiltonian
+        full = qite.OperatorPool.full_minus_identity(4)
+        cases = ((pool4, sv.random_real_state(4, rng)), (full, random_complex_state(4, rng)))
+        for pool, state in cases:
+            _, record = qite.step(state, ham, 0.1, pool)
+            assert record.energy == pytest.approx(sv.expectation(state, ham).real, abs=1e-12)
+
     def test_single_qubit_fidelity(self):
         plus = sv.QuantumState(1, np.array([1.0, 1.0]) / np.sqrt(2))
         ham = PauliSum(1, {3: 1.0})
@@ -459,6 +468,18 @@ class TestTrajectory:
             assert remeasured.observables == fresh.observables
             assert remeasured.observable_variances == fresh.observable_variances
         assert qite.measure(fresh, obs).observables == exact.observables
+
+    def test_shots_draw_one_batch_per_step_from_the_derived_seed(self, pool4):
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
+        obs = model.default_observables(4)
+        traj = qite.run_trajectory(5, ham, 0.25, 3, obs, pool4, mode=qite.MODE_SHOTS, shots=200, seed=8)
+        for k, row in enumerate(traj.states, start=1):
+            counts = sv.sample(sv.QuantumState(4, row), 200, qite._derived_seed(8, 5, k))
+            for name, op in obs.items():
+                assert traj.observables[name][k - 1] == sv.estimate_diagonal(counts, op)
+                assert traj.observable_variances[name][k - 1] == sv.estimate_diagonal_variance(
+                    counts, op
+                )
 
     def test_non_diagonal_observable_rejected_in_shot_mode(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian

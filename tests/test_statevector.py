@@ -226,22 +226,9 @@ class TestSampling:
                 assert sv.estimate_diagonal(counts, op) == mean
                 assert sv.estimate_diagonal_variance(counts, op) == variance
 
-    def test_batch_draws_each_row_from_its_own_seed(self):
-        rng = np.random.default_rng(22)
-        states = np.array([sv.random_real_state(4, rng).amplitudes.real for _ in range(5)])
-        seeds = [3, 1, 4, 1, 5]
-        batch = sv.sample(states, 300, seeds)
-        assert batch.seed == tuple(seeds) and batch.counts.shape == (5, 16)
-        op = model.build_h2(4)
-        means = sv.estimate_diagonal(batch, op)
-        variances = sv.estimate_diagonal_variance(batch, op)
-        for row, (state, seed) in enumerate(zip(states, seeds)):
-            one = sv.sample(sv.QuantumState(4, state), 300, seed)
-            assert np.array_equal(batch.counts[row], one.counts)
-            assert means[row] == sv.estimate_diagonal(one, op)
-            assert variances[row] == sv.estimate_diagonal_variance(one, op)
-        with pytest.raises(ValueError):
-            sv.sample(states, 300, seeds[:4])
+    def test_counts_must_add_up_to_shots(self):
+        with pytest.raises(ValueError, match="add up"):
+            sv.ShotCounts(10, np.array([3, 6]), seed=0)
 
     def test_basis_state_is_deterministic(self):
         counts = sv.sample(sv.basis_state(5, 4), shots=64, seed=1)
