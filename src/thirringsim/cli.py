@@ -60,7 +60,6 @@ class RunConfig:
     mode: str = qite.MODE_EXACT
     shots: int = 1024
     c_mode: str = qite.C_EXPONENTIAL
-    b_scaling: str = qite.B_UNIT
     pool: str = qite.ODD_Y
     seed: int = 0
     workers: int = 1
@@ -241,7 +240,7 @@ def _sweep_one_g2(task: tuple[RunConfig, float]) -> list[dict]:
             ham, observables, cfg.dbeta, cfg.n_steps, pool,
             mode=cfg.mode, shots=cfg.shots, seed=cfg.seed,
             trotter_steps=cfg.trotter_steps, threshold=cfg.threshold,
-            c_mode=cfg.c_mode, b_scaling=cfg.b_scaling,
+            c_mode=cfg.c_mode,
         )
     except Exception as exc:
         raise RuntimeError(f"sweep failed at g2={g2:g}: {exc}") from exc
@@ -466,7 +465,6 @@ def _add_config_flags(p: argparse.ArgumentParser, with_t_grid: bool = False) -> 
     p.add_argument("--mode", choices=(qite.MODE_EXACT, qite.MODE_SHOTS))
     p.add_argument("--shots", type=int)
     p.add_argument("--c-mode", dest="c_mode", choices=qite.C_MODES)
-    p.add_argument("--b-scaling", dest="b_scaling", choices=qite.B_SCALINGS)
     p.add_argument("--pool", choices=qite.POOL_KINDS)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)

@@ -216,13 +216,6 @@ class PauliSum:
         for j in sorted(self.terms):
             yield PauliString.from_index(j, self.n_sites), self.terms[j]
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    def coefficient(self, ps: PauliString) -> complex:
-        return self.terms.get(ps.packed_index, 0.0)
-
     def identity_coefficient(self) -> complex:
         return self.terms.get(0, 0.0)
 

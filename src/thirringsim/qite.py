@@ -2,12 +2,15 @@
 
 Each step solves McLachlan's least-squares problem min ||A a - w|| (McArdle
 et al., npj QI 5, 75 (2019); Motta et al., Nat. Phys. 16, 205 (2020)):
-column j of A is the pool string s_j applied to the current state |phi>,
-and w = -i H|phi>.  The real coefficients a solve one real system by
-truncated-SVD least squares: [Re A; Im A] against [Re w; Im w], or Im A
-against Im w for the odd-Y pool on a real state.  Its normal equations are
-the Gram system G = 2 Re(A^H A), b = 2 Re(A^H w) of anticommutator and
-commutator expectations, which ``build_gram`` and ``build_rhs`` derive.
+column j of A is the generator -i s_j of pool string s_j applied to the
+current state |phi>, and w = -H|phi>.  The Hamiltonian is real symmetric and
+every state is real, and for an odd-Y string -i s_j is a real signed
+permutation, so A and w are real and the real coefficients a solve one real
+system by truncated-SVD least squares.  On such states the odd-Y pool is
+lossless: every even-Y string's component of the solution vanishes.  The
+normal equations are the Gram system G = 2 A^T A, b = 2 A^T w of
+anticommutator and commutator expectations, which ``build_gram`` and
+``build_rhs`` derive.
 Coefficients below a magnitude threshold are dropped and the generator is
 applied as a first-order Trotter product of Pauli rotations: the kept
 rotations are multiplied once into the 2^N x 2^N matrix of one Trotter
@@ -16,9 +19,9 @@ a basis state yields a trajectory with per-step weights whose running
 product is the state's contribution to the thermal trace.  The trajectory
 keeps its states, and ``measure`` then evaluates every observable on them.
 
-The permutation and phase arrays of the pool strings and of the
+The permutation and sign arrays of the pool's generators and of the
 Hamiltonian's terms are cached, so A and w are one fancy index each and a
-rotation is one row permutation and scaling of the slice matrix.
+rotation is one signed row permutation of the slice matrix.
 """
 from __future__ import annotations
 
@@ -47,17 +50,12 @@ from .statevector import (
 )
 
 ODD_Y = "odd-y"
-FULL = "full-minus-identity"
-POOL_KINDS = (ODD_Y, FULL)
+POOL_KINDS = (ODD_Y,)
 
 C_LINEAR = "linear"
 C_EXPONENTIAL = "exponential"
 C_EXACT_NORM = "exact-norm"
 C_MODES = (C_LINEAR, C_EXPONENTIAL, C_EXACT_NORM)
-
-B_UNIT = "unit"
-B_INVERSE_SQRT_C = "inverse-sqrt-c"
-B_SCALINGS = (B_UNIT, B_INVERSE_SQRT_C)
 
 DEFAULT_SVD_CUTOFF = 1e-8
 DEFAULT_THRESHOLD = 1e-3
@@ -114,19 +112,12 @@ class OperatorPool:
                 strings.append(PauliString(letters))
         return cls(n_sites, ODD_Y, tuple(strings))
 
-    @classmethod
-    def full_minus_identity(cls, n_sites: int) -> "OperatorPool":
-        strings = tuple(PauliString(unpack(j, n_sites)) for j in range(1, 4**n_sites))
-        return cls(n_sites, FULL, strings)
-
 
 @lru_cache(maxsize=None)
 def make_pool(kind: str, n_sites: int) -> OperatorPool:
     """The pool of a kind, one shared object per (kind, n_sites)."""
     if kind == ODD_Y:
         return OperatorPool.odd_y(n_sites)
-    if kind == FULL:
-        return OperatorPool.full_minus_identity(n_sites)
     raise ValueError(f"unknown pool kind {kind!r}")
 
 
@@ -134,8 +125,7 @@ def make_pool(kind: str, n_sites: int) -> OperatorPool:
 class StepRecord:
     """Solved coefficients and bookkeeping of one imaginary-time step.
 
-    ``residual`` is the McLachlan residual ||A a - w|| before thresholding
-    (its imaginary part for the odd-Y pool, which is all of it for real H).
+    ``residual`` is the McLachlan residual ||A a - w|| before thresholding.
     """
 
     a: np.ndarray
@@ -150,7 +140,7 @@ class Trajectory:
     """K chained steps from one initial state.
 
     ``states[k-1]`` is the state after step k, at inverse temperature
-    beta = 2*k*dbeta, in a (K, 2^N) array that is real when every state is;
+    beta = 2*k*dbeta, in a real (K, 2^N) array;
     ``cumulative_weights[k-1]`` is the product of the first k step weights;
     ``observables[name][k-1]`` is the value measured on ``states[k-1]``.
     """
@@ -169,71 +159,78 @@ class Trajectory:
 
 @lru_cache(maxsize=8)
 def _gram_plan(pool: OperatorPool):
-    """(pool, 2^N) perm and phase arrays: (s_j|phi>)[i] = phases[j, i] * phi[perms[j, i]]."""
+    """(pool, 2^N) perm and generator arrays: (-i s_j|phi>)[i] = gens[j, i] * phi[perms[j, i]].
+
+    The phases of an odd-Y string are imaginary, so each generator -i s_j
+    is a real signed permutation.
+    """
     actions = [_string_action(s.letters) for s in pool.strings]
-    return np.array([p for p, _ in actions]), np.array([ph for _, ph in actions])
+    return np.array([p for p, _ in actions]), np.array([ph.imag for _, ph in actions])
 
 
 @lru_cache(maxsize=16)
 def _rhs_plan(pool: OperatorPool, ham_key: tuple):
-    """``_operator_plan`` of the Hamiltonian: its terms' perms and coefficient-weighted phases."""
-    if ham_key[0] != pool.n_sites:
+    """Perms and real coefficient-weighted phases of the Hamiltonian's terms.
+
+    The real step follows only a real-symmetric H: real coefficients on
+    strings with an even Y count.  Any other term raises ValueError.
+    """
+    n_sites, items = ham_key
+    if n_sites != pool.n_sites:
         raise ValueError("pool and Hamiltonian act on different site counts")
-    return _operator_plan(ham_key)
+    for j, c in items:
+        term = PauliString.from_index(j, n_sites)
+        if abs(c.imag) > 1e-12:
+            raise ValueError(f"the Hamiltonian must have real coefficients; term {term} has {c:g}")
+        if term.y_count() % 2:
+            raise ValueError(
+                f"the Hamiltonian term {term} has an odd Y count, so H is not a real matrix "
+                "and the real QITE step cannot follow it"
+            )
+    perms, phases = _operator_plan(ham_key)
+    return perms, phases.real
 
 
 def _check_pool_state(state: QuantumState, pool: OperatorPool) -> None:
     if state.n_sites != pool.n_sites:
         raise ValueError("state and pool act on different site counts")
-    if pool.kind == ODD_Y and state.max_imag() > REAL_STATE_TOL:
+    if state.max_imag() > REAL_STATE_TOL:
         raise ValueError(
-            "the odd-Y pool requires a real-amplitude state "
-            f"(max |imag| = {state.max_imag():.3e}); use the full pool instead"
+            f"the QITE step requires a real-amplitude state (max |imag| = {state.max_imag():.3e})"
         )
 
 
-def _real_rows(pool: OperatorPool, z: np.ndarray) -> np.ndarray:
-    """Im z for the odd-Y pool (A is imaginary on real states), else [Re z; Im z]."""
-    return z.imag if pool.kind == ODD_Y else np.concatenate([z.real, z.imag])
-
-
 def _design_matrix(state: QuantumState, pool: OperatorPool) -> np.ndarray:
-    """Real form of A, whose column j is s_j|phi>."""
+    """A, whose column j is -i s_j|phi>."""
     _check_pool_state(state, pool)
-    perms, phases = _gram_plan(pool)
-    return _real_rows(pool, (phases * state.amplitudes[perms]).T)
+    perms, gens = _gram_plan(pool)
+    return (gens * state.amplitudes.real[perms]).T
 
 
 def _h_action(state: QuantumState, pool: OperatorPool, ham: PauliSum) -> np.ndarray:
-    """H|phi>; -i H|phi> is w, the imaginary-time derivative of the state."""
-    if not ham.is_hermitian():
-        raise ValueError("the Hamiltonian must have real coefficients")
+    """H|phi>; -H|phi> is w, the imaginary-time derivative of the state."""
     perms, phases = _rhs_plan(pool, cache_key(ham))
-    return np.sum(phases * state.amplitudes[perms], axis=0)
+    return np.sum(phases * state.amplitudes.real[perms], axis=0)
 
 
 def build_gram(state: QuantumState, pool: OperatorPool) -> np.ndarray:
     """Symmetric matrix of anticommutator expectations over the pool.
 
-    Entry (j1, j2) is <phi|s_j1 s_j2 + s_j2 s_j1|phi> = 2 Re(A^H A), twice
-    the real Gram matrix of the vectors s_j|phi>, so it is positive
-    semidefinite for any state.
+    Entry (j1, j2) is <phi|s_j1 s_j2 + s_j2 s_j1|phi> = 2 A^T A, twice the
+    Gram matrix of the vectors -i s_j|phi>, so it is positive semidefinite.
     """
     m = _design_matrix(state, pool)
     return 2.0 * (m.T @ m)
 
 
-def build_rhs(state: QuantumState, pool: OperatorPool, ham: PauliSum, c_step: float) -> np.ndarray:
-    """Commutator expectations against the Hamiltonian, scaled by 1/sqrt(C).
+def build_rhs(state: QuantumState, pool: OperatorPool, ham: PauliSum) -> np.ndarray:
+    """Commutator expectations against the Hamiltonian.
 
-    Component j is sum_j' h_j' <phi| -i(s_j s_j' - s_j' s_j) |phi> / sqrt(C)
-    = 2 Re(A^H w)_j / sqrt(C), the generator ordering that drives the state
-    toward exp(-dbeta H)|phi>.
+    Component j is sum_j' h_j' <phi| -i(s_j s_j' - s_j' s_j) |phi> = 2 (A^T w)_j,
+    the generator ordering that drives the state toward exp(-dbeta H)|phi>.
     """
-    if c_step <= 0:
-        raise NonPositiveWeightError(f"c_step must be positive, got {c_step}")
     m = _design_matrix(state, pool)
-    return 2.0 * (m.T @ _real_rows(pool, -1j * _h_action(state, pool, ham))) / math.sqrt(c_step)
+    return 2.0 * (m.T @ -_h_action(state, pool, ham))
 
 
 def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_CUTOFF):
@@ -256,18 +253,16 @@ def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
     """Matrix of one first-order Trotter slice, prod_j exp(-i angles[j] s_j).
 
     The rotations with a nonzero angle act in ascending pool order, each as
-    exp(-i t s) = cos t I + sin t (-i s) on the rows of the running product.
-    -i s_j is the permutation perms[j] with phases -i phases[j], which for
-    the odd-Y pool are the real numbers phases[j].imag, so the slice is real.
+    exp(-i t s_j) = cos t I + sin t (-i s_j) on the rows of the running
+    product.  -i s_j is the real signed permutation (perms[j], gens[j]), so
+    the slice is real orthogonal.
     """
-    perms, phases = _gram_plan(pool)
-    real = pool.kind == ODD_Y
+    perms, gens = _gram_plan(pool)
     kept = np.flatnonzero(angles)
-    u = np.eye(perms.shape[1], dtype=float if real else complex)
+    u = np.eye(perms.shape[1])
     for j, sin, cos in zip(kept, np.sin(angles[kept]), np.cos(angles[kept])):
-        gen = phases[j].imag if real else -1j * phases[j]
         rotated = u[perms[j]]
-        rotated *= (sin * gen)[:, None]
+        rotated *= (sin * gens[j])[:, None]
         u *= cos
         u += rotated
     return u
@@ -298,7 +293,6 @@ def step(
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-    b_scaling: str = B_UNIT,
 ) -> tuple[QuantumState, StepRecord]:
     """One imaginary-time step of size dbeta.
 
@@ -306,34 +300,23 @@ def step(
     magnitude threshold, multiplies the kept rotations in ascending packed
     order into one Trotter-slice matrix, applies that slice
     ``trotter_steps`` times, and returns the normalized state with the
-    step record.
-
-    ``b_scaling`` selects the normalization of the solved generator.  The
-    default ``unit`` drops the 1/sqrt(C) factor from the linear system,
-    which is what first-order matching against the normalized
-    imaginary-time state demands; ``inverse-sqrt-c`` keeps the factor,
-    which shrinks every rotation by sqrt(C) and visibly under-evolves
-    trajectories whose energy is far from zero.
+    step record.  The state must be real and the Hamiltonian real
+    symmetric; anything else raises ValueError.
     """
     if not (math.isfinite(dbeta) and dbeta >= 0):
         raise ValueError("dbeta must be finite and non-negative")
     if trotter_steps < 1:
         raise ValueError("trotter_steps must be at least 1")
-    if b_scaling not in B_SCALINGS:
-        raise ValueError(f"unknown b_scaling {b_scaling!r}; expected one of {B_SCALINGS}")
     matrix = _design_matrix(state, pool)
     h_phi = _h_action(state, pool, ham)
-    rhs = _real_rows(pool, -1j * h_phi)
-    energy = float(np.sum(state.amplitudes.conj() * h_phi).real)
+    amps = state.amplitudes.real
+    energy = float(np.sum(amps * h_phi))
     c_step = _c_step_value(state, ham, dbeta, energy, c_mode)
-    if b_scaling == B_INVERSE_SQRT_C:
-        rhs = rhs / math.sqrt(c_step)
     # G = 2 A^T A has the squared singular values of A, so its cutoff maps
     # to the square root on A
-    a, residual = solve(matrix, rhs, math.sqrt(svd_cutoff))
+    a, residual = solve(matrix, -h_phi, math.sqrt(svd_cutoff))
     a = np.where(np.abs(a) > threshold, a, 0.0)
     kept = int(np.count_nonzero(a))
-    amps = state.amplitudes
     if dbeta > 0 and kept > 0:
         u = _trotter_slice(pool, a * (dbeta / trotter_steps))
         amps = np.linalg.matrix_power(u, trotter_steps) @ amps
@@ -389,7 +372,6 @@ def run_trajectory_from_state(
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-    b_scaling: str = B_UNIT,
 ) -> Trajectory:
     """Chain ``n_steps`` steps from an explicit initial state, then ``measure`` them.
 
@@ -400,15 +382,10 @@ def run_trajectory_from_state(
     records: list[StepRecord] = []
     states = []
     for _ in range(n_steps):
-        state, record = step(
-            state, ham, dbeta, pool, trotter_steps, threshold, c_mode,
-            b_scaling=b_scaling,
-        )
+        state, record = step(state, ham, dbeta, pool, trotter_steps, threshold, c_mode)
         records.append(record)
-        states.append(state.amplitudes)
+        states.append(state.amplitudes.real)
     states = np.array(states)
-    if not states.imag.any():
-        states = states.real.copy()
     weights = np.cumprod([r.c_step for r in records]).tolist()
     return measure(Trajectory(label, records, weights, states), observables, mode, shots, seed)
 
@@ -426,11 +403,10 @@ def run_trajectory(
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-    b_scaling: str = B_UNIT,
 ) -> Trajectory:
     """Trajectory started from the computational basis state ``initial_index``."""
     state = basis_state(initial_index, ham.n_sites)
     return run_trajectory_from_state(
         state, initial_index, ham, dbeta, n_steps, observables, pool,
-        mode, shots, seed, trotter_steps, threshold, c_mode, b_scaling,
+        mode, shots, seed, trotter_steps, threshold, c_mode,
     )

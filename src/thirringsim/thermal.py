@@ -15,7 +15,6 @@ import numpy as np
 
 from .pauli import PauliSum
 from .qite import (
-    B_UNIT,
     C_EXPONENTIAL,
     DEFAULT_THRESHOLD,
     DEFAULT_TROTTER_STEPS,
@@ -126,7 +125,6 @@ def qmetts_average(
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-    b_scaling: str = B_UNIT,
 ) -> ThermalTable:
     """Deterministic trace over a set of computational basis states.
 
@@ -140,7 +138,7 @@ def qmetts_average(
     trajectories = [
         run_trajectory(
             i, ham, dbeta, n_steps, observables, pool,
-            mode, shots, seed, trotter_steps, threshold, c_mode, b_scaling,
+            mode, shots, seed, trotter_steps, threshold, c_mode,
         )
         for i in sorted(basis_indices)
     ]
@@ -160,14 +158,13 @@ def average_over_states(
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-    b_scaling: str = B_UNIT,
     stderr_from_spread: bool = True,
 ) -> ThermalTable:
     """Weighted thermal average over an explicit list of initial states."""
     trajectories = [
         run_trajectory_from_state(
             state, label, ham, dbeta, n_steps, observables, pool,
-            mode, shots, seed, trotter_steps, threshold, c_mode, b_scaling,
+            mode, shots, seed, trotter_steps, threshold, c_mode,
         )
         for label, state in enumerate(states)
     ]
@@ -190,7 +187,6 @@ def stochastic_trace_average(
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-    b_scaling: str = B_UNIT,
 ) -> ThermalTable:
     """Unbiased trace estimate from random real initial states.
 
@@ -204,6 +200,6 @@ def stochastic_trace_average(
     states = [random_real_state(ham.n_sites, rng) for _ in range(n_random_states)]
     return average_over_states(
         states, ham, observables, dbeta, n_steps, pool,
-        mode, shots, seed, trotter_steps, threshold, c_mode, b_scaling,
+        mode, shots, seed, trotter_steps, threshold, c_mode,
         stderr_from_spread=True,
     )

@@ -194,7 +194,7 @@ def test_a6_duality():
 def test_a7_single_step_convergence():
     rng = np.random.default_rng(107)
     ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
-    pool = qite.OperatorPool.full_minus_identity(4)
+    pool = qite.OperatorPool.odd_y(4)
     dbetas = [0.2, 0.1, 0.05, 0.025]
     exponents = []
     for _ in range(5):

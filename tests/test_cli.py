@@ -154,6 +154,17 @@ class TestCompareCommand:
         assert passed
         assert "max deviation 0" in report
 
+    def test_file_with_the_retired_b_scaling_line_still_reads(self, tmp_path):
+        # every sweep file written while the 1/sqrt(C) option existed echoes it
+        sweep_out, _ = self._write_pair(tmp_path)
+        old = tmp_path / "old.csv"
+        text = sweep_out.read_text()
+        old.write_text(text.replace("# pool=", "# b_scaling=unit\n# pool=", 1))
+        assert "# b_scaling=unit\n" in old.read_text()
+        assert cli.read_sweep_csv(str(old)) == cli.read_sweep_csv(str(sweep_out))
+        passed, report = cli.compare_files(str(old), str(old), tolerance=0.0)
+        assert passed, report
+
     def test_compare_against_oracle(self, tmp_path):
         sweep_out, oracle_out = self._write_pair(tmp_path)
         passed, report = cli.compare_files(str(sweep_out), str(oracle_out), tolerance=0.2)
@@ -290,16 +301,16 @@ class TestValidateCommand:
 
     def test_corrupted_pool_plan_is_caught(self, monkeypatch):
         pool = qite.make_pool(qite.ODD_Y, 4)
-        perms, phases = qite._gram_plan(pool)
+        perms, gens = qite._gram_plan(pool)
         assert check_design_spectrum().passed
-        flipped = phases.copy()
+        flipped = gens.copy()
         flipped[37, 5] *= -1
         monkeypatch.setattr(qite, "_gram_plan", lambda _pool: (perms, flipped))
         result = check_design_spectrum()
         assert not result.passed and "rank [16]" in result.detail
         swapped = perms.copy()
         swapped[37, [3, 4]] = swapped[37, [4, 3]]
-        monkeypatch.setattr(qite, "_gram_plan", lambda _pool: (swapped, phases))
+        monkeypatch.setattr(qite, "_gram_plan", lambda _pool: (swapped, gens))
         assert not check_design_spectrum().passed
 
     def test_corrupted_table_is_caught(self, monkeypatch):
@@ -316,9 +327,15 @@ class TestValidateCommand:
 
 class TestMain:
     def test_usage_error_exit_code(self):
-        with pytest.raises(SystemExit) as einfo:
-            cli.main(["no-such-command"])
-        assert einfo.value.code == 2
+        # the last two are the retired 1/sqrt(C) option and full pool
+        for argv in (
+            ["no-such-command"],
+            ["sweep", "--b-scaling", "unit"],
+            ["sweep", "--pool", "full-minus-identity"],
+        ):
+            with pytest.raises(SystemExit) as einfo:
+                cli.main(argv)
+            assert einfo.value.code == 2
 
     def test_compare_failure_exit_code(self, tmp_path):
         sweep_out = tmp_path / "sweep.csv"

@@ -28,9 +28,6 @@ class TestPools:
     def test_odd_y_size(self, pool4):
         assert pool4.size == 120
 
-    def test_full_size(self):
-        assert qite.OperatorPool.full_minus_identity(4).size == 255
-
     def test_odd_y_membership_and_order(self, pool4):
         assert all(s.y_count() % 2 == 1 for s in pool4.strings)
         packed = [s.packed_index for s in pool4.strings]
@@ -39,7 +36,6 @@ class TestPools:
     def test_make_pool_returns_one_shared_object(self):
         assert qite.make_pool(qite.ODD_Y, 4) is qite.make_pool(qite.ODD_Y, 4)
         assert qite.make_pool(qite.ODD_Y, 4) == qite.OperatorPool.odd_y(4)
-        assert hash(qite.make_pool(qite.FULL, 2)) == hash(qite.OperatorPool.full_minus_identity(2))
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -51,11 +47,6 @@ class TestGram:
         rng = np.random.default_rng(0)
         gram = qite.build_gram(sv.random_real_state(4, rng), pool4)
         assert np.max(np.abs(np.diag(gram) - 2.0)) < 1e-12
-
-    def test_single_qubit_anticommuting_offdiagonals(self):
-        pool = qite.OperatorPool.full_minus_identity(1)
-        gram = qite.build_gram(sv.basis_state(0, 1), pool)
-        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) == 0
 
     def test_matches_dense_gram_of_string_vectors(self, pool4):
         rng = np.random.default_rng(1)
@@ -72,16 +63,6 @@ class TestGram:
         for _ in range(5):
             gram = qite.build_gram(sv.random_real_state(4, rng), pool4)
             assert np.linalg.eigvalsh(gram)[0] >= -1e-10
-
-    def test_full_pool_accepts_complex_states(self):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        state = sv.QuantumState(2, v / np.linalg.norm(v))
-        pool = qite.OperatorPool.full_minus_identity(2)
-        gram = qite.build_gram(state, pool)
-        vectors = np.column_stack([sv.apply_string(state, s).amplitudes for s in pool.strings])
-        dense = 2.0 * (vectors.conj().T @ vectors).real
-        assert np.max(np.abs(gram - dense)) < 1e-12
 
     def test_odd_y_pool_rejects_complex_state(self, pool4):
         v = np.zeros(16, dtype=complex)
@@ -108,22 +89,21 @@ class TestRhs:
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         ground = oracle.spectral(ham).eigenvectors[:, 0]
         state = sv.QuantumState(4, ground.astype(complex))
-        b = qite.build_rhs(state, pool4, ham, 1.0)
+        b = qite.build_rhs(state, pool4, ham)
         assert np.max(np.abs(b)) < 1e-10
 
     def test_single_qubit_plus_state(self):
-        # H = Z on |+> with pool {Y}: b_Y = 2 <X> / sqrt(C)
+        # H = Z on |+> with pool {Y}: b_Y = 2 <X>
         plus = sv.QuantumState(1, np.array([1.0, 1.0]) / np.sqrt(2))
         pool = qite.OperatorPool.odd_y(1)
         ham = PauliSum(1, {3: 1.0})
-        assert qite.build_rhs(plus, pool, ham, 1.0)[0] == pytest.approx(2.0)
-        assert qite.build_rhs(plus, pool, ham, 0.64)[0] == pytest.approx(2.5)
+        assert qite.build_rhs(plus, pool, ham)[0] == pytest.approx(2.0)
 
     def test_random_vs_dense_commutators(self, pool4):
         rng = np.random.default_rng(5)
         ham = random_real_symmetric_sum(4, rng)
         state = sv.random_real_state(4, rng)
-        b = qite.build_rhs(state, pool4, ham, 1.0)
+        b = qite.build_rhs(state, pool4, ham)
         h = to_matrix(ham, n_sites=4)
         amps = state.amplitudes
         for row in rng.integers(0, pool4.size, size=25):
@@ -132,20 +112,17 @@ class TestRhs:
             assert b[row] == pytest.approx(want, abs=1e-12)
 
     def test_even_y_components_vanish_on_real_states(self):
+        # b_s = 2 Re <s phi| -i H phi> from dense matrices, for every even-Y s
         rng = np.random.default_rng(6)
-        pool = qite.OperatorPool.full_minus_identity(3)
         ham = random_real_symmetric_sum(3, rng)
+        h = to_matrix(ham, n_sites=3)
+        strings = [PauliString.from_index(j, 3) for j in range(1, 4**3)]
+        even_y = [to_matrix(s) for s in strings if s.y_count() % 2 == 0]
         for _ in range(5):
-            b = qite.build_rhs(sv.random_real_state(3, rng), pool, ham, 1.0)
-            for row, s in enumerate(pool.strings):
-                if s.y_count() % 2 == 0:
-                    assert abs(b[row]) < 1e-10
-
-    def test_non_positive_c_rejected(self, pool4):
-        ham = model.build_h2(4)
-        state = sv.basis_state(0, 4)
-        with pytest.raises(qite.NonPositiveWeightError):
-            qite.build_rhs(state, pool4, ham, 0.0)
+            phi = sv.random_real_state(3, rng).amplitudes
+            w = -1j * (h @ phi)
+            for s in even_y:
+                assert abs(2.0 * np.vdot(s @ phi, w).real) < 1e-10
 
 
 class TestSolve:
@@ -186,11 +163,9 @@ class TestStep:
     def test_energy_is_the_expectation_of_h(self, pool4):
         rng = np.random.default_rng(12)
         ham = model.assemble(model.ModelParams(model.MINKOWSKI, 4, 0.5, 1.3)).hamiltonian
-        full = qite.OperatorPool.full_minus_identity(4)
-        cases = ((pool4, sv.random_real_state(4, rng)), (full, random_complex_state(4, rng)))
-        for pool, state in cases:
-            _, record = qite.step(state, ham, 0.1, pool)
-            assert record.energy == pytest.approx(sv.expectation(state, ham).real, abs=1e-12)
+        state = sv.random_real_state(4, rng)
+        _, record = qite.step(state, ham, 0.1, pool4)
+        assert record.energy == pytest.approx(sv.expectation(state, ham).real, abs=1e-12)
 
     def test_single_qubit_fidelity(self):
         plus = sv.QuantumState(1, np.array([1.0, 1.0]) / np.sqrt(2))
@@ -241,16 +216,6 @@ class TestStep:
         _, want = oracle.exact_imaginary_time_state(ham, state, 0.25)
         assert record.c_step == pytest.approx(want, rel=1e-12)
 
-    def test_inverse_sqrt_c_scaling_rescales_solution(self, pool4):
-        rng = np.random.default_rng(12)
-        state = sv.random_real_state(4, rng)
-        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
-        _, unit = qite.step(state, ham, 0.2, pool4, threshold=0.0)
-        _, scaled = qite.step(
-            state, ham, 0.2, pool4, threshold=0.0, b_scaling=qite.B_INVERSE_SQRT_C
-        )
-        assert np.allclose(scaled.a, unit.a / np.sqrt(unit.c_step), atol=1e-12)
-
     def test_real_state_stays_real_over_twenty_steps(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         state = sv.basis_state(6, 4)
@@ -259,13 +224,6 @@ class TestStep:
             state, _ = qite.step(state, ham, 0.25, pool4)
             worst = max(worst, state.max_imag())
         assert worst < 1e-8
-
-
-def random_hermitian_sum(n, rng, n_terms=8):
-    """Random sum with real coefficients on any strings, odd-Y ones included."""
-    return PauliSum(
-        n, {int(j): float(rng.normal()) for j in rng.integers(1, 4**n, size=n_terms)}
-    )
 
 
 def random_complex_state(n, rng):
@@ -278,35 +236,28 @@ def dense_columns(state, pool):
     return np.column_stack([to_matrix(s) @ state.amplitudes for s in pool.strings])
 
 
-FACTORED_CASES = {
-    qite.ODD_Y: (sv.random_real_state, random_real_symmetric_sum),
-    qite.FULL: (random_complex_state, random_hermitian_sum),
-}
-
-
 class TestFactoredSolve:
     """The step solves min ||A a - w|| with the same result as the Gram system."""
 
     @settings(max_examples=20, deadline=None)
-    @given(kind=st.sampled_from(sorted(FACTORED_CASES)), seed=st.integers(0, 2**32 - 1))
-    def test_step_matches_gram_solve(self, kind, seed):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_step_matches_gram_solve(self, seed):
         rng = np.random.default_rng(seed)
-        make_state, make_ham = FACTORED_CASES[kind]
-        pool = qite.make_pool(kind, 4)
-        state, ham = make_state(4, rng), make_ham(4, rng)
+        pool = qite.make_pool(qite.ODD_Y, 4)
+        state, ham = sv.random_real_state(4, rng), random_real_symmetric_sum(4, rng)
         _, record = qite.step(state, ham, 0.1, pool, threshold=0.0)
         want, _ = qite.solve(
-            qite.build_gram(state, pool), qite.build_rhs(state, pool, ham, 1.0),
+            qite.build_gram(state, pool), qite.build_rhs(state, pool, ham),
             qite.DEFAULT_SVD_CUTOFF,
         )
         assert np.linalg.norm(record.a - want) <= 1e-10 * np.linalg.norm(want)
 
     @settings(max_examples=20, deadline=None)
-    @given(kind=st.sampled_from(sorted(FACTORED_CASES)), seed=st.integers(0, 2**32 - 1))
-    def test_gram_is_twice_real_part_of_a_h_a(self, kind, seed):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gram_is_twice_real_part_of_a_h_a(self, seed):
         rng = np.random.default_rng(seed)
-        pool = qite.make_pool(kind, 4)
-        state = FACTORED_CASES[kind][0](4, rng)
+        pool = qite.make_pool(qite.ODD_Y, 4)
+        state = sv.random_real_state(4, rng)
         a = dense_columns(state, pool)
         assert np.max(np.abs(qite.build_gram(state, pool) - 2.0 * (a.conj().T @ a).real)) < 1e-12
 
@@ -323,6 +274,16 @@ class TestFactoredSolve:
         ham = PauliSum(4, {3: 1.0, 12: 0.5j})
         with pytest.raises(ValueError, match="real coefficients"):
             qite.step(sv.basis_state(0, 4), ham, 0.1, pool4)
+
+    def test_step_rejects_hamiltonian_with_an_odd_y_term(self):
+        # Y0 + 0.5 Z0 Z1 is Hermitian but not a real matrix: a real step
+        # would evolve it silently wrong
+        ham = PauliSum.from_strings(
+            [(PauliString.from_label("YI"), 1.0), (PauliString.from_label("ZZ"), 0.5)]
+        )
+        state = sv.random_real_state(2, np.random.default_rng(15))
+        with pytest.raises(ValueError, match="term YI has an odd Y count"):
+            qite.step(state, ham, 0.25, qite.make_pool(qite.ODD_Y, 2))
 
     def test_step_rejects_complex_state_with_odd_y_pool(self, pool4):
         rng = np.random.default_rng(14)
@@ -345,16 +306,14 @@ class TestTrotterSlice:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        kind=st.sampled_from(sorted(FACTORED_CASES)),
         seed=st.integers(0, 2**32 - 1),
         trotter_steps=st.integers(1, 50),
         threshold=st.sampled_from([0.0, 1e-3]),
     )
-    def test_slice_matches_sequential_rotations(self, kind, seed, trotter_steps, threshold):
+    def test_slice_matches_sequential_rotations(self, seed, trotter_steps, threshold):
         rng = np.random.default_rng(seed)
-        make_state, make_ham = FACTORED_CASES[kind]
-        pool = qite.make_pool(kind, 4)
-        state, ham = make_state(4, rng), make_ham(4, rng)
+        pool = qite.make_pool(qite.ODD_Y, 4)
+        state, ham = sv.random_real_state(4, rng), random_real_symmetric_sum(4, rng)
         new, record = qite.step(state, ham, 0.2, pool, trotter_steps, threshold)
         want = sequential_rotations(state, pool, record.a, 0.2, trotter_steps)
         assert np.max(np.abs(new.amplitudes - want.amplitudes)) < 1e-12
