@@ -21,7 +21,6 @@ import math
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__, model, oracle, qite, thermal
@@ -267,6 +266,9 @@ def _sweep_one_g2(task: tuple[RunConfig, float]) -> list[dict]:
 def sweep_rows(cfg: RunConfig) -> list[dict]:
     tasks = [(cfg, g2) for g2 in g2_grid(cfg)]
     if cfg.workers > 1:
+        # imported here: the process-pool module costs every start-up about 17 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunks = list(pool.map(_sweep_one_g2, tasks))
     else:

@@ -320,10 +320,12 @@ def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -
             raise ValueError(
                 f"refusing to build a dense matrix on {op.n_sites} sites (cap {site_cap})"
             )
-        m = np.array([[1.0 + 0j]])
+        m = np.array(1.0 + 0j)
         for site in reversed(range(op.n_sites)):
-            m = np.kron(m, _SITE_MATRICES[op.letters[site]])
-        return m
+            m = np.multiply.outer(m, _SITE_MATRICES[op.letters[site]])
+        # the Kronecker chain's products, axes (row bit, column bit) per site: rows first
+        n = op.n_sites
+        return m.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(2**n, 2**n)
     if isinstance(op, PauliSum):
         if op.n_sites > site_cap:
             raise ValueError(

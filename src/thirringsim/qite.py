@@ -5,23 +5,24 @@ et al., npj QI 5, 75 (2019); Motta et al., Nat. Phys. 16, 205 (2020)):
 column j of A is the generator -i s_j of pool string s_j applied to the
 current state |phi>, and w = -H|phi>.  The Hamiltonian is real symmetric and
 every state is real, and for an odd-Y string -i s_j is a real signed
-permutation, so A and w are real and the real coefficients a solve one real
-system by truncated-SVD least squares.  On such states the odd-Y pool is
-lossless: every even-Y string's component of the solution vanishes.  The
-normal equations are the Gram system G = 2 A^T A, b = 2 A^T w of
-anticommutator and commutator expectations, which ``build_gram`` and
-``build_rhs`` derive.
+permutation, so A and w are real.  The odd-Y generators are an orthogonal
+basis of the real antisymmetric d x d matrices (d = 2^N), so
+A A^T = (d/2)(|phi|^2 I - |phi><phi|) and the least-squares solution is
+a = 2 A^T w / (d |phi|^2): no linear system is solved.  ``build_gram``,
+``build_rhs`` and ``solve`` keep the Gram system G = 2 A^T A, b = 2 A^T w
+of anticommutator and commutator expectations as its reference.
 Coefficients below a magnitude threshold are dropped and the generator is
 applied as a first-order Trotter product of Pauli rotations: the kept
 rotations are multiplied once into the 2^N x 2^N matrix of one Trotter
-slice, which is then applied ``trotter_steps`` times.  Chaining steps from
-a basis state yields a trajectory with per-step weights whose running
-product is the state's contribution to the thermal trace.  The trajectory
-keeps its states, and ``measure`` then evaluates every observable on them.
+slice, which is then applied ``trotter_steps`` times.  ``step_rows`` steps
+a batch of states, each row bitwise as ``step`` steps it alone.  Chaining
+steps from a basis state yields a trajectory whose running product of step
+weights is the state's contribution to the thermal trace; ``measure`` then
+evaluates every observable on the trajectory's stored states.
 
 The permutation and sign arrays of the pool's generators and of the
-Hamiltonian's terms are cached, so A and w are one fancy index each and a
-rotation is one signed row permutation of the slice matrix.
+Hamiltonian's terms are cached, so A^T w and H|phi> are one fancy index
+each and a rotation is one signed row permutation of the slice matrix.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .statevector import apply_rotation  # noqa: F401
 from .statevector import (
     QuantumState,
     _operator_plan,
-    _string_action,
+    _string_actions,
     basis_state,
     estimate_diagonal,
     estimate_diagonal_variance,
@@ -72,7 +73,7 @@ class NonPositiveWeightError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorPool:
-    """Ordered set of generator strings; the identity never appears.
+    """Ordered set of generator strings: every odd-Y string once, as the step's closed form needs.
 
     The hash is computed once, because every plan-cache lookup hashes the pool.
     """
@@ -85,10 +86,11 @@ class OperatorPool:
     def __post_init__(self):
         if self.kind not in POOL_KINDS:
             raise ValueError(f"unknown pool kind {self.kind!r}")
-        if any(s.is_identity() for s in self.strings):
-            raise ValueError("the identity string cannot be a generator")
-        if len(set(self.strings)) != len(self.strings):
-            raise ValueError("pool contains duplicate strings")
+        n, size = self.n_sites, len(self.strings)
+        odd_y = len({s for s in self.strings if s.n_sites == n and s.y_count() % 2})
+        if not odd_y == size == (4**n - 2**n) // 2:  # the identity is not odd-Y either
+            raise ValueError(f"an odd-y pool needs all {(4**n - 2**n) // 2} odd-Y strings of {n} "
+                             f"sites once and no other; got {size} strings, {odd_y} distinct odd-Y")
         object.__setattr__(self, "_hash", hash((self.n_sites, self.kind, self.strings)))
 
     def __hash__(self) -> int:
@@ -126,6 +128,8 @@ class StepRecord:
     """Solved coefficients and bookkeeping of one imaginary-time step.
 
     ``residual`` is the McLachlan residual ||A a - w|| before thresholding.
+    For the complete pool it is |E| / ||phi||, with E = <phi|H|phi> the
+    ``energy``: no antisymmetric generator produces the -E|phi> part of w.
     """
 
     a: np.ndarray
@@ -164,8 +168,8 @@ def _gram_plan(pool: OperatorPool):
     The phases of an odd-Y string are imaginary, so each generator -i s_j
     is a real signed permutation.
     """
-    actions = [_string_action(s.letters) for s in pool.strings]
-    return np.array([p for p, _ in actions]), np.array([ph.imag for _, ph in actions])
+    perms, phases = _string_actions(np.array([s.letters for s in pool.strings]))
+    return perms, np.ascontiguousarray(phases.imag)
 
 
 @lru_cache(maxsize=16)
@@ -207,10 +211,10 @@ def _design_matrix(state: QuantumState, pool: OperatorPool) -> np.ndarray:
     return (gens * state.amplitudes.real[perms]).T
 
 
-def _h_action(state: QuantumState, pool: OperatorPool, ham: PauliSum) -> np.ndarray:
-    """H|phi>; -H|phi> is w, the imaginary-time derivative of the state."""
+def _h_action(amps: np.ndarray, pool: OperatorPool, ham: PauliSum) -> np.ndarray:
+    """H|phi> of each real row of a (B, 2^N) array; -H|phi> is w, the imaginary-time derivative."""
     perms, phases = _rhs_plan(pool, cache_key(ham))
-    return np.sum(phases * state.amplitudes.real[perms], axis=0)
+    return np.sum(phases * amps[:, perms], axis=1)
 
 
 def build_gram(state: QuantumState, pool: OperatorPool) -> np.ndarray:
@@ -230,7 +234,7 @@ def build_rhs(state: QuantumState, pool: OperatorPool, ham: PauliSum) -> np.ndar
     the generator ordering that drives the state toward exp(-dbeta H)|phi>.
     """
     m = _design_matrix(state, pool)
-    return 2.0 * (m.T @ -_h_action(state, pool, ham))
+    return 2.0 * (m.T @ -_h_action(state.amplitudes.real[None], pool, ham)[0])
 
 
 def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_CUTOFF):
@@ -250,38 +254,82 @@ def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_C
 
 
 def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
-    """Matrix of one first-order Trotter slice, prod_j exp(-i angles[j] s_j).
+    """Matrices of one first-order Trotter slice, prod_j exp(-i angles[..., j] s_j).
 
-    The rotations with a nonzero angle act in ascending pool order, each as
+    The rotations act in ascending pool order, each as
     exp(-i t s_j) = cos t I + sin t (-i s_j) on the rows of the running
-    product.  -i s_j is the real signed permutation (perms[j], gens[j]), so
-    the slice is real orthogonal.
+    product; a zero angle is an exact identity, so only strings with a
+    nonzero angle for some leading (batch) index are visited.  -i s_j is
+    the real signed permutation (perms[j], gens[j]), so a slice is real orthogonal.
     """
     perms, gens = _gram_plan(pool)
-    kept = np.flatnonzero(angles)
-    u = np.eye(perms.shape[1])
-    for j, sin, cos in zip(kept, np.sin(angles[kept]), np.cos(angles[kept])):
-        rotated = u[perms[j]]
-        rotated *= (sin * gens[j])[:, None]
-        u *= cos
+    live = np.flatnonzero(np.any(angles.reshape(-1, angles.shape[-1]), axis=0))
+    sin_gens = np.sin(angles[..., live, None]) * gens[live]
+    cos = np.cos(angles[..., live, None, None])
+    u = np.eye(perms.shape[1]) * np.ones(angles.shape[:-1] + (1, 1))
+    for k, j in enumerate(live):
+        rotated = np.take(u, perms[j], axis=-2)
+        rotated *= sin_gens[..., k, :, None]
+        u *= cos[..., k, :, :]
         u += rotated
     return u
 
 
-def _c_step_value(state: QuantumState, ham: PauliSum, dbeta: float, energy: float, c_mode: str) -> float:
+def _c_step_values(phi: np.ndarray, ham: PauliSum, dbeta: float, energy: np.ndarray,
+                   c_mode: str) -> list[float]:
     if c_mode == C_LINEAR:
         c = 1.0 - 2.0 * dbeta * energy
-        if c <= 0:
+        if np.any(c <= 0):
             raise NonPositiveWeightError(
-                f"linear weight 1 - 2*dbeta*<H> = {c:.6g} is not positive at "
+                f"linear weight 1 - 2*dbeta*<H> = {c[c <= 0][0]:.6g} is not positive at "
                 f"dbeta = {dbeta}; rerun with c_mode='exponential' or 'exact-norm'"
             )
-        return c
+        return c.tolist()
     if c_mode == C_EXPONENTIAL:
-        return math.exp(-2.0 * dbeta * energy)
+        return [math.exp(-2.0 * dbeta * e) for e in energy.tolist()]
     if c_mode == C_EXACT_NORM:
-        return oracle.exact_imaginary_time_state(ham, state, dbeta)[1]
+        sd = oracle.spectral(ham)  # ||e^{-dbeta H} phi||^2 = sum_k e^{-2 dbeta l_k} <v_k|phi>^2
+        overlaps = np.sum(phi[:, :, None] * sd.eigenvectors, axis=1)
+        return np.sum(np.exp(-2.0 * dbeta * sd.eigenvalues) * overlaps**2, axis=1).tolist()
     raise ValueError(f"unknown c_mode {c_mode!r}; expected one of {C_MODES}")
+
+
+def step_rows(amps: np.ndarray, ham: PauliSum, dbeta: float, pool: OperatorPool, trotter_steps: int,
+              threshold: float, c_mode: str) -> tuple[np.ndarray, list[StepRecord]]:
+    """``step`` of each real row of a (B, 2^N) array: the new rows and one StepRecord per row.
+
+    Every reduction runs within one row, so a row's result does not depend
+    on the other rows, bit for bit.
+    """
+    if not (math.isfinite(dbeta) and dbeta >= 0):
+        raise ValueError("dbeta must be finite and non-negative")
+    if trotter_steps < 1:
+        raise ValueError("trotter_steps must be at least 1")
+    amps = np.ascontiguousarray(amps, dtype=float)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("non-finite state amplitudes")
+    perms, gens = _gram_plan(pool)
+    # rows per pass: their (rows, pool, 2^N) products take about 2 MB (16 rows at N = 4, 2 at N = 6)
+    new, records, chunk = np.empty_like(amps), [], max(1, 2**21 // perms.nbytes)
+    for lo in range(0, len(amps), chunk):
+        phi = amps[lo:lo + chunk]
+        h_phi = _h_action(phi, pool, ham)
+        energy, norm2 = np.sum(phi * h_phi, axis=1), np.sum(phi * phi, axis=1)
+        c_step = _c_step_values(phi, ham, dbeta, energy, c_mode)
+        # A^T w, summed along one row of a 2-D view so that rows stay bitwise independent
+        at_w = phi[:, perms] * gens
+        at_w *= -h_phi[:, None, :]
+        at_w = np.sum(at_w.reshape(-1, perms.shape[1]), axis=1).reshape(len(phi), -1)
+        a = at_w * (2.0 / (perms.shape[1] * norm2))[:, None]
+        a = np.where(np.abs(a) > threshold, a, 0.0)
+        kept = np.count_nonzero(a, axis=1)
+        if dbeta > 0 and kept.any():
+            u = _trotter_slice(pool, a * (dbeta / trotter_steps))
+            phi = np.matmul(np.linalg.matrix_power(u, trotter_steps), phi[:, :, None])[:, :, 0]
+        new[lo:lo + chunk] = phi / np.sqrt(np.sum(phi * phi, axis=1))[:, None]
+        residual = np.abs(energy) / np.sqrt(norm2)
+        records += map(StepRecord, a, c_step, energy.tolist(), kept.tolist(), residual.tolist())
+    return new, records
 
 
 def step(
@@ -292,36 +340,21 @@ def step(
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
 ) -> tuple[QuantumState, StepRecord]:
     """One imaginary-time step of size dbeta.
 
-    Solves for the generator coefficients, zeroes those at or below the
+    Takes the closed-form coefficients, zeroes those at or below the
     magnitude threshold, multiplies the kept rotations in ascending packed
     order into one Trotter-slice matrix, applies that slice
     ``trotter_steps`` times, and returns the normalized state with the
     step record.  The state must be real and the Hamiltonian real
     symmetric; anything else raises ValueError.
     """
-    if not (math.isfinite(dbeta) and dbeta >= 0):
-        raise ValueError("dbeta must be finite and non-negative")
-    if trotter_steps < 1:
-        raise ValueError("trotter_steps must be at least 1")
-    matrix = _design_matrix(state, pool)
-    h_phi = _h_action(state, pool, ham)
-    amps = state.amplitudes.real
-    energy = float(np.sum(amps * h_phi))
-    c_step = _c_step_value(state, ham, dbeta, energy, c_mode)
-    # G = 2 A^T A has the squared singular values of A, so its cutoff maps
-    # to the square root on A
-    a, residual = solve(matrix, -h_phi, math.sqrt(svd_cutoff))
-    a = np.where(np.abs(a) > threshold, a, 0.0)
-    kept = int(np.count_nonzero(a))
-    if dbeta > 0 and kept > 0:
-        u = _trotter_slice(pool, a * (dbeta / trotter_steps))
-        amps = np.linalg.matrix_power(u, trotter_steps) @ amps
-    new_state = QuantumState(state.n_sites, amps).normalized()
-    return new_state, StepRecord(a, c_step, energy, kept, residual)
+    _check_pool_state(state, pool)
+    amps, records = step_rows(
+        state.amplitudes.real[None], ham, dbeta, pool, trotter_steps, threshold, c_mode
+    )
+    return QuantumState(state.n_sites, amps[0]), records[0]
 
 
 def _derived_seed(*parts: int) -> int:
@@ -410,3 +443,4 @@ def run_trajectory(
         state, initial_index, ham, dbeta, n_steps, observables, pool,
         mode, shots, seed, trotter_steps, threshold, c_mode,
     )
+

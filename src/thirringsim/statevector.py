@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, PhasedString, Y, Z, cache_key, unpack
+from .pauli import PauliString, PauliSum, PhasedString, X, Y, Z, cache_key, unpack
 
 
 @dataclass
@@ -72,24 +72,27 @@ def random_real_state(n_sites: int, rng: np.random.Generator) -> QuantumState:
     return QuantumState(n_sites, (v / np.linalg.norm(v)).astype(complex))
 
 
+def _string_actions(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_string_action`` of each row of an (S, N) letter array, as (S, 2^N) perms and phases."""
+    n = letters.shape[1]
+    idx = np.arange(2**n)
+    flip = np.zeros(len(letters), dtype=idx.dtype)
+    phases = np.ones((len(letters), 2**n), dtype=complex)
+    for site in range(n):
+        bit = (idx >> site) & 1
+        column = letters[:, site]
+        flip |= ((column == X) | (column == Y)).astype(idx.dtype) << site
+        y, z = column == Y, column == Z
+        phases[y] = phases[y] * np.where(bit == 1, 1j, -1j)
+        phases[z] = phases[z] * np.where(bit == 1, -1.0, 1.0)
+    return idx ^ flip[:, None], phases
+
+
 @lru_cache(maxsize=None)
 def _string_action(letters: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(perm, phase) such that (P|phi>)[i] = phase[i] * phi[perm[i]]."""
-    n = len(letters)
-    idx = np.arange(2**n)
-    flip = 0
-    phase = np.ones(2**n, dtype=complex)
-    for site, letter in enumerate(letters):
-        bit = (idx >> site) & 1
-        if letter == 1:  # X
-            flip |= 1 << site
-        elif letter == Y:
-            flip |= 1 << site
-            phase = phase * np.where(bit == 1, 1j, -1j)
-        elif letter == Z:
-            phase = phase * np.where(bit == 1, -1.0, 1.0)
-    perm = idx ^ flip
-    return perm, phase
+    perms, phases = _string_actions(np.array([letters]))
+    return perms[0], phases[0]
 
 
 def apply_string(state: QuantumState, ps: PauliString) -> QuantumState:
@@ -126,10 +129,9 @@ def _operator_plan(key: tuple) -> tuple[np.ndarray, np.ndarray]:
     (op|phi>)[i] = sum_t phases[t, i] * phi[perms[t, i]].
     """
     n_sites, items = key
-    actions = [_string_action(unpack(j, n_sites)) for j, _ in items]
-    perms = np.array([p for p, _ in actions], dtype=np.intp).reshape(len(items), 2**n_sites)
-    phases = np.array([c * ph for (_, ph), (_, c) in zip(actions, items)], dtype=complex)
-    phases = phases.reshape(perms.shape)
+    letters = np.array([unpack(j, n_sites) for j, _ in items], dtype=int)
+    perms, phases = _string_actions(letters.reshape(len(items), n_sites))
+    phases = np.array([c for _, c in items], dtype=complex)[:, None] * phases
     perms.flags.writeable = phases.flags.writeable = False
     return perms, phases
 

@@ -1,6 +1,8 @@
 """Pauli-string algebra against dense-matrix ground truth."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thirringsim import pauli
 from thirringsim.pauli import (
@@ -187,6 +189,33 @@ class TestToMatrix:
             to_matrix(PauliString.identity(11))
         with pytest.raises(ValueError):
             to_matrix(PauliString.identity(3), site_cap=2)
+
+
+def strings_on(n):
+    return st.tuples(*[st.integers(0, 3)] * n).map(PauliString)
+
+
+string_pairs = st.integers(1, 5).flatmap(lambda n: st.tuples(strings_on(n), strings_on(n)))
+
+
+class TestAgainstDenseProperties:
+    @given(st.integers(1, 6).flatmap(strings_on))
+    def test_to_matrix_is_bitwise_the_kron_chain(self, p):
+        want = np.array([[1.0 + 0j]])
+        for site in reversed(range(p.n_sites)):
+            want = np.kron(want, pauli._SITE_MATRICES[p.letters[site]])
+        got = to_matrix(p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(string_pairs)
+    def test_products_equal_dense_products(self, pair):
+        p1, p2 = pair
+        m1, m2 = to_matrix(p1), to_matrix(p2)
+        assert np.array_equal(to_matrix(multiply(p1, p2)), m1 @ m2)
+        got = to_matrix(minus_i_commutator(p1, p2), n_sites=p1.n_sites)
+        assert np.array_equal(got, -1j * (m1 @ m2 - m2 @ m1))
+        got = to_matrix(sym_transpose_product(p1, p2), n_sites=p1.n_sites)
+        assert np.array_equal(got, m1 @ m2 + (m1 @ m2).T)
 
 
 class TestPauliSum:

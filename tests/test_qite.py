@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thirringsim import model, oracle, pauli, qite
+from thirringsim import model, oracle, pauli, qite, thermal
 from thirringsim import statevector as sv
 from thirringsim.pauli import PauliString, PauliSum, to_matrix
 
@@ -40,6 +40,18 @@ class TestPools:
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
             qite.OperatorPool(1, qite.ODD_Y, (PauliString.identity(1),))
+
+    def test_incomplete_or_foreign_odd_y_pool_rejected(self, pool4):
+        # the step's closed-form coefficients hold only for the complete pool
+        with pytest.raises(ValueError, match="needs all 120 odd-Y strings of 4 sites"):
+            qite.OperatorPool(4, qite.ODD_Y, pool4.strings[:-1])
+        even_y = PauliString.from_label("XXII")
+        with pytest.raises(ValueError, match="120 strings, 119 distinct odd-Y"):
+            qite.OperatorPool(4, qite.ODD_Y, pool4.strings[:-1] + (even_y,))
+        with pytest.raises(ValueError, match="120 strings, 119 distinct odd-Y"):
+            qite.OperatorPool(4, qite.ODD_Y, pool4.strings[:-1] + pool4.strings[:1])
+        reordered = qite.OperatorPool(4, qite.ODD_Y, pool4.strings[::-1])
+        assert reordered.size == 120
 
 
 class TestGram:
@@ -348,6 +360,64 @@ class TestTrotterSlice:
     def test_non_finite_dbeta_rejected(self, pool4):
         with pytest.raises(ValueError, match="finite"):
             qite.step(sv.basis_state(0, 4), model.build_h3(4), np.inf, pool4)
+
+
+class TestStepRows:
+    """The batch kernel: rows stay independent, and no linear system is solved."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        rows=st.integers(1, 20),
+        threshold=st.sampled_from([0.0, 1e-3, 0.05]),
+        trotter_steps=st.integers(1, 20),
+        c_mode=st.sampled_from(qite.C_MODES),
+    )
+    def test_each_row_is_bitwise_the_row_stepped_alone(
+        self, seed, n, rows, threshold, trotter_steps, c_mode
+    ):
+        rng = np.random.default_rng(seed)
+        ham = random_real_symmetric_sum(n, rng)
+        # |<H>| <= sum |c|, so every linear weight 1 - 2 dbeta <H> stays positive
+        dbeta = 0.2 / sum(abs(c) for c in ham.terms.values())
+        amps = rng.standard_normal((rows, 2**n))
+        amps[rng.random(rows) < 0.3] = np.eye(2**n)[rng.integers(2**n)]
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        pool = qite.make_pool(qite.ODD_Y, n)
+        new, records = qite.step_rows(amps, ham, dbeta, pool, trotter_steps, threshold, c_mode)
+        for row, record in enumerate(records):
+            alone, own = qite.step(
+                sv.QuantumState(n, amps[row]), ham, dbeta, pool, trotter_steps, threshold, c_mode
+            )
+            assert np.array_equal(new[row], alone.amplitudes.real)
+            assert np.array_equal(record.a, own.a)
+            assert (record.c_step, record.energy, record.kept_terms, record.residual) == (
+                own.c_step, own.energy, own.kept_terms, own.residual
+            )
+
+    def test_no_least_squares_solve(self, pool4, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq was called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
+        obs = model.default_observables(4)
+        for c_mode in qite.C_MODES[1:]:
+            qite.step(sv.random_real_state(4, np.random.default_rng(1)), ham, 0.25, pool4,
+                      c_mode=c_mode)
+            thermal.qmetts_average(ham, obs, 0.25, 3, pool4, c_mode=c_mode)
+
+    def test_closed_form_matches_the_gram_solve_at_six_sites(self):
+        pool = qite.make_pool(qite.ODD_Y, 6)
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 6, 0.5, 1.0)).hamiltonian
+        state = sv.random_real_state(6, np.random.default_rng(64))
+        _, record = qite.step(state, ham, 0.25, pool, threshold=0.0)
+        want, _ = qite.solve(
+            qite.build_gram(state, pool), qite.build_rhs(state, pool, ham),
+            qite.DEFAULT_SVD_CUTOFF,
+        )
+        assert np.linalg.norm(record.a - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestTrajectory:

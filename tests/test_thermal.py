@@ -70,6 +70,13 @@ class TestQmettsAverage:
         with pytest.raises(ValueError):
             thermal.qmetts_average(ham, obs, 0.25, 2, pool4, basis_indices=[])
 
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_range_basis_index_rejected(self, setup, pool4, bad):
+        # a basis row picked by plain indexing would silently wrap -1 to 15
+        ham, obs = setup
+        with pytest.raises(ValueError, match=f"basis index {bad} out of range"):
+            thermal.qmetts_average(ham, obs, 0.25, 2, pool4, basis_indices=[0, bad])
+
 
 class TestAggregate:
     def test_remeasured_trajectories_equal_the_averaging_functions(self, setup, pool4):
