@@ -70,7 +70,11 @@ class RunConfig:
     sidecar: bool = False
 
     def resolved(self) -> "RunConfig":
-        """Fill the variant-dependent coupling-grid defaults."""
+        """Fill the variant-dependent coupling-grid defaults; reject a bad seed or shot count."""
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.shots < 1:
+            raise ValueError(f"shots must be at least 1, got {self.shots}")
         start, stop, step = DEFAULT_G2_GRIDS[self.variant]
         updates = {}
         if self.g2_start is None:

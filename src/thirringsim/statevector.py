@@ -153,14 +153,29 @@ def expectation(
     return complex(values) if values.ndim == 0 else values
 
 
-def sample(state: QuantumState, shots: int, seed: int) -> ShotCounts:
-    """Draw computational-basis shots i.i.d. with probability |amplitude|^2."""
+def sample_rows(amps: np.ndarray, shots: int, seeds: list[int]) -> np.ndarray:
+    """Shot counts (K, 2^N) of the rows of a (K, 2^N) amplitude array, row k seeded ``seeds[k]``.
+
+    Each row's CDF is searched with its generator's uniforms, as
+    ``Generator.choice(2^N, size=shots, p=|row|^2)`` does, so the counts are choice's bit for bit.
+    """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    outcomes = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
-    return ShotCounts(shots, np.bincount(outcomes, minlength=len(probs)), seed)
+    probs = np.abs(amps) ** 2
+    with np.errstate(invalid="ignore"):
+        probs /= np.sum(probs, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("shot probabilities are not finite: an all-zero or non-finite state")
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[:, -1:]
+    draws = (row.searchsorted(np.random.default_rng(seed).random(shots), side="right")
+             for row, seed in zip(cdf, seeds, strict=True))
+    return np.array([np.bincount(outcomes, minlength=cdf.shape[-1]) for outcomes in draws])
+
+
+def sample(state: QuantumState, shots: int, seed: int) -> ShotCounts:
+    """Draw computational-basis shots i.i.d. with probability |amplitude|^2."""
+    return ShotCounts(shots, sample_rows(state.amplitudes[None], shots, [seed])[0], seed)
 
 
 @lru_cache(maxsize=64)
@@ -179,17 +194,25 @@ def _diagonal_eigenvalues(key: tuple) -> np.ndarray:
     return eig
 
 
+def diagonal_moments(counts: np.ndarray, shots: int, op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Shot mean of op's diagonal eigenvalues and its variance (sample variance / shots) per row.
+
+    Each row of the (..., 2^N) counts is summed along its own axis, so it is bitwise independent.
+    """
+    eig = _diagonal_eigenvalues(cache_key(op))
+    m1 = np.sum(counts * eig, axis=-1) / shots
+    m2 = np.sum(counts * eig**2, axis=-1) / shots
+    return m1, np.maximum(m2 - m1 * m1, 0.0) / shots
+
+
 def estimate_diagonal(counts: ShotCounts, op: PauliSum) -> float:
     """Counts-weighted average of the diagonal eigenvalues of op."""
-    return float(counts.counts @ _diagonal_eigenvalues(cache_key(op))) / counts.shots
+    return float(diagonal_moments(counts.counts, counts.shots, op)[0])
 
 
 def estimate_diagonal_variance(counts: ShotCounts, op: PauliSum) -> float:
     """Plug-in variance of the shot-mean estimator (sample variance / shots)."""
-    eig = _diagonal_eigenvalues(cache_key(op))
-    m1 = float(counts.counts @ eig) / counts.shots
-    m2 = float(counts.counts @ eig**2) / counts.shots
-    return max(m2 - m1 * m1, 0.0) / counts.shots
+    return float(diagonal_moments(counts.counts, counts.shots, op)[1])
 
 
 def exact_diagonal_variance(state: QuantumState, op: PauliSum) -> float:

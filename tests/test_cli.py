@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from thirringsim import cli, model, pauli, qite
+from thirringsim import cli, model, pauli, qite, thermal
 from thirringsim.checks import (
     check_commutator_vs_dense,
     check_design_spectrum,
@@ -336,6 +336,21 @@ class TestMain:
             with pytest.raises(SystemExit) as einfo:
                 cli.main(argv)
             assert einfo.value.code == 2
+
+    def test_bad_seed_or_shots_fails_before_any_step(self, tmp_path, monkeypatch, capsys):
+        steps = []
+        monkeypatch.setattr(thermal, "step_rows", lambda *a, **k: steps.append(a))
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed = -1\n")
+        out = str(tmp_path / "out.csv")
+        for flags, key in (
+            (["--seed", "-1"], "seed"),
+            (["--shots", "0"], "shots"),
+            (["--config", str(config)], "seed"),
+        ):
+            assert cli.main(["sweep", "--mode", "shots", *flags, "--output", out]) == 1
+            assert key in capsys.readouterr().err
+        assert steps == []
 
     def test_compare_failure_exit_code(self, tmp_path):
         sweep_out = tmp_path / "sweep.csv"

@@ -228,6 +228,23 @@ class TestStep:
         _, want = oracle.exact_imaginary_time_state(ham, state, 0.25)
         assert record.c_step == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("variant, g2", [
+        (model.EUCLIDEAN, 0.3), (model.EUCLIDEAN, 2.4), (model.MINKOWSKI, 4.4),
+    ])
+    def test_exact_norm_weights_telescope_to_the_partition_function(self, variant, g2):
+        # On exact trajectories the first k weights multiply to <i|e^{-2k dbeta H}|i>,
+        # so their sum over the basis is Z(beta = 2k dbeta).
+        ham = model.assemble(model.ModelParams(variant, 4, 0.5, g2)).hamiltonian
+        eigenvalues = oracle.spectral(ham).eigenvalues
+        states, weights = [sv.basis_state(i, 4) for i in range(16)], np.ones(16)
+        for k in range(1, 21):
+            phi = np.array([s.amplitudes.real for s in states])
+            energy = sv.expectation(phi, ham).real
+            weights *= qite._c_step_values(phi, ham, 0.25, energy, qite.C_EXACT_NORM)
+            states = [oracle.exact_imaginary_time_state(ham, s, 0.25)[0] for s in states]
+            z = np.sum(np.exp(-2 * k * 0.25 * eigenvalues))
+            assert abs(weights.sum() / z - 1) < 1e-12
+
     def test_real_state_stays_real_over_twenty_steps(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         state = sv.basis_state(6, 4)

@@ -226,6 +226,50 @@ class TestSampling:
                 assert sv.estimate_diagonal(counts, op) == mean
                 assert sv.estimate_diagonal_variance(counts, op) == variance
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        data=st.data(),
+        shots=st.integers(1, 4096),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_draw_and_moments_match_one_row_at_a_time(self, n, data, shots, state_seed):
+        k = data.draw(st.integers(1, 8))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k))
+        basis = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        rng = np.random.default_rng(state_seed)
+        states = rng.standard_normal((k, 2**n))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        for row, one_hot in zip(states, basis):
+            if one_hot:  # zero probability on every other index
+                row[:] = np.eye(2**n)[rng.integers(2**n)]
+        counts = sv.sample_rows(states, shots, seeds)
+        assert counts.shape == (k, 2**n)
+        z_strings = [pauli.pack(tuple(pauli.Z if (m >> i) & 1 else 0 for i in range(n)))
+                     for m in range(2**n)]
+        chosen = rng.choice(z_strings, size=min(5, len(z_strings)), replace=False)
+        op = PauliSum(n, {int(j): float(rng.standard_normal()) for j in chosen})
+        means, variances = sv.diagonal_moments(counts, shots, op)
+        for row, seed, got, mean, variance in zip(states, seeds, counts, means, variances):
+            state = sv.QuantumState(n, row)
+            one = sv.sample(state, shots, seed)
+            reference = dict_sample(state, shots, seed)
+            assert got.tolist() == one.counts.tolist()
+            assert got.tolist() == [reference.get(format(i, f"0{n}b"), 0) for i in range(2**n)]
+            assert mean == sv.estimate_diagonal(one, op)
+            assert variance == sv.estimate_diagonal_variance(one, op)
+
+    def test_batched_draw_rejects_what_choice_rejects(self):
+        good = np.full((2, 4), 0.5)
+        for bad_row in (np.array([np.nan, 1.0, 0.0, 0.0]), np.zeros(4), np.array([np.inf, 0, 0, 0])):
+            with pytest.raises(ValueError, match="not finite"):
+                sv.sample_rows(np.vstack([good, bad_row]), 16, [1, 2, 3])
+        for shots in (0, -3):
+            with pytest.raises(ValueError, match="shots must be positive"):
+                sv.sample_rows(good, shots, [1, 2])
+            with pytest.raises(ValueError, match="shots must be positive"):
+                sv.sample(sv.basis_state(0, 2), shots, 1)
+
     def test_counts_must_add_up_to_shots(self):
         with pytest.raises(ValueError, match="add up"):
             sv.ShotCounts(10, np.array([3, 6]), seed=0)
