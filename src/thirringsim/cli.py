@@ -40,6 +40,15 @@ DEFAULT_G2_GRIDS = {
 T_GRID_LINEAR = "linear"
 T_GRID_QMETTS = "qmetts"
 
+# the allowed values of every choice-valued key, for flags and config files alike
+_CHOICES = {
+    "variant": model.VARIANTS,
+    "mode": (qite.MODE_EXACT, qite.MODE_SHOTS),
+    "c_mode": qite.C_MODES,
+    "pool": qite.POOL_KINDS,
+    "t_grid": (T_GRID_LINEAR, T_GRID_QMETTS),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -54,8 +63,8 @@ class RunConfig:
     g2_step: float | None = None
     dbeta: float = 0.25
     n_steps: int = 20
-    trotter_steps: int = 10
-    threshold: float = 0.001
+    trotter_steps: int = qite.DEFAULT_TROTTER_STEPS
+    threshold: float = qite.DEFAULT_THRESHOLD
     mode: str = qite.MODE_EXACT
     shots: int = 1024
     c_mode: str = qite.C_EXPONENTIAL
@@ -70,20 +79,30 @@ class RunConfig:
     sidecar: bool = False
 
     def resolved(self) -> "RunConfig":
-        """Fill the variant-dependent coupling-grid defaults; reject a bad seed or shot count."""
+        """Fill the variant-dependent coupling-grid defaults; reject a bad value before any work."""
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key} must be one of {', '.join(choices)}, "
+                                 f"got {getattr(self, key)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.shots < 1:
             raise ValueError(f"shots must be at least 1, got {self.shots}")
         start, stop, step = DEFAULT_G2_GRIDS[self.variant]
-        updates = {}
-        if self.g2_start is None:
-            updates["g2_start"] = start
-        if self.g2_stop is None:
-            updates["g2_stop"] = stop
-        if self.g2_step is None:
-            updates["g2_step"] = step
-        return dataclasses.replace(self, **updates) if updates else self
+        cfg = dataclasses.replace(
+            self,
+            g2_start=start if self.g2_start is None else self.g2_start,
+            g2_stop=stop if self.g2_stop is None else self.g2_stop,
+            g2_step=step if self.g2_step is None else self.g2_step,
+        )
+        for key in ("g2_start", "g2_stop", "g2_step"):
+            if not math.isfinite(getattr(cfg, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(cfg, key)}")
+        if cfg.g2_step <= 0:
+            raise ValueError(f"g2_step must be positive, got {cfg.g2_step}")
+        if cfg.g2_stop < cfg.g2_start:
+            raise ValueError(f"g2_stop {cfg.g2_stop} is below g2_start {cfg.g2_start}")
+        return cfg
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -204,7 +223,7 @@ def read_sweep_csv(path: str) -> tuple[RunConfig, list[dict]]:
     rows = []
     header = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 meta_lines.append(line)
@@ -215,6 +234,9 @@ def read_sweep_csv(path: str) -> tuple[RunConfig, list[dict]]:
                     raise ValueError(f"{path}: unexpected column header {header}")
                 continue
             parts = line.split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(parts)} fields, but the header has "
+                                 f"{len(header)}; is the file cut short?")
             row = dict(zip(header, parts))
             row["g2"] = float(row["g2"])
             row["k"] = int(row["k"])
@@ -319,18 +341,13 @@ def _row_key(row: dict) -> tuple:
     return (row["variant"], round(row["g2"], 9), round(row["T"], 9), row["observable"])
 
 
-def compare_files(
-    test_path: str,
-    reference_path: str,
-    tolerance: float = 0.05,
-    step_margin: float = 0.2,
-    step_jump: float = 0.4,
-) -> tuple[bool, str]:
+def compare_files(test_path: str, reference_path: str, tolerance: float = 0.05) -> tuple[bool, str]:
     """Per-point deviation report of a sweep file against a reference file.
 
-    Points within ``step_margin`` in g2 of a plateau discontinuity detected
-    in the reference fermion-number data (adjacent-point jumps larger than
-    ``step_jump``) are excluded from the pass/fail decision but still listed.
+    Points within ``oracle.STEP_MARGIN`` in g2 of a plateau discontinuity
+    detected in the reference fermion-number data (adjacent-point jumps
+    larger than ``oracle.STEP_JUMP``) are excluded from the pass/fail
+    decision but still listed.
     The comparison fails when no point is checked, when either file holds
     a non-finite value, when either file holds a point twice, or when a
     point of the reference file is missing from the test file.
@@ -359,7 +376,7 @@ def compare_files(
         )
         fermion = [r for r in low_t if r["observable"] == model.FERMION_NUMBER]
         steps_by_variant[variant] = oracle.find_plateau_steps(
-            [r["g2"] for r in fermion], [r["value"] for r in fermion], step_jump
+            [r["g2"] for r in fermion], [r["value"] for r in fermion]
         )
 
     lines = []
@@ -399,7 +416,7 @@ def compare_files(
             # the epsilon absorbs the 12-significant-digit file rendering
             if dev <= 3.0 * row["stderr"] + 1e-9:
                 n_within_3sigma += 1
-        if not oracle.away_from_steps(row["g2"], steps_by_variant[row["variant"]], step_margin):
+        if not oracle.away_from_steps(row["g2"], steps_by_variant[row["variant"]]):
             excluded += 1
             continue
         checked += 1
@@ -414,7 +431,7 @@ def compare_files(
         for lo, hi in steps:
             lines.append(
                 f"exclusion window: variant={variant} "
-                f"g2 in ({lo - step_margin:g}, {hi + step_margin:g})"
+                f"g2 in ({lo - oracle.STEP_MARGIN:g}, {hi + oracle.STEP_MARGIN:g})"
             )
     if checked:
         lines.append(f"max deviation {max_dev:.6g} at {max_dev_key}")
@@ -436,9 +453,7 @@ def compare_files(
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    passed, report = compare_files(
-        args.qmetts_file, args.oracle_file, args.tolerance, args.step_margin, args.step_jump,
-    )
+    passed, report = compare_files(args.qmetts_file, args.oracle_file, args.tolerance)
     print(report)
     return 0 if passed else 1
 
@@ -457,7 +472,7 @@ def cmd_validate(_args: argparse.Namespace) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser, with_t_grid: bool = False) -> None:
     p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--variant", choices=model.VARIANTS)
+    p.add_argument("--variant", choices=_CHOICES["variant"])
     p.add_argument("--n-sites", dest="n_sites", type=int)
     p.add_argument("--am", type=float)
     p.add_argument("--a-mu", dest="a_mu", type=float)
@@ -468,17 +483,17 @@ def _add_config_flags(p: argparse.ArgumentParser, with_t_grid: bool = False) -> 
     p.add_argument("--n-steps", dest="n_steps", type=int)
     p.add_argument("--trotter-steps", dest="trotter_steps", type=int)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--mode", choices=(qite.MODE_EXACT, qite.MODE_SHOTS))
+    p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument("--shots", type=int)
-    p.add_argument("--c-mode", dest="c_mode", choices=qite.C_MODES)
-    p.add_argument("--pool", choices=qite.POOL_KINDS)
+    p.add_argument("--c-mode", dest="c_mode", choices=_CHOICES["c_mode"])
+    p.add_argument("--pool", choices=_CHOICES["pool"])
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--output", "-o")
     p.add_argument("--sidecar", action="store_const", const=True, default=None,
                    help="also write a .meta.json sidecar with a timestamp")
     if with_t_grid:
-        p.add_argument("--t-grid", dest="t_grid", choices=(T_GRID_LINEAR, T_GRID_QMETTS))
+        p.add_argument("--t-grid", dest="t_grid", choices=_CHOICES["t_grid"])
         p.add_argument("--t-start", dest="t_start", type=float)
         p.add_argument("--t-stop", dest="t_stop", type=float)
         p.add_argument("--t-points", dest="t_points", type=int)
@@ -501,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("qmetts_file")
     p_cmp.add_argument("oracle_file")
     p_cmp.add_argument("--tolerance", type=float, default=0.05)
-    p_cmp.add_argument("--step-margin", dest="step_margin", type=float, default=0.2)
-    p_cmp.add_argument("--step-jump", dest="step_jump", type=float, default=0.4)
 
     sub.add_parser("validate", help="run the invariant suite")
     return parser

@@ -19,6 +19,8 @@ from .statevector import QuantumState
 DIM_CAP = 2**12
 HERMITICITY_TOL = 1e-10
 LOW_TEMPERATURE = 0.01  # in units of 1/a; beta = 100
+STEP_JUMP = 0.4  # a plateau step is an adjacent-point jump larger than this
+STEP_MARGIN = 0.2  # couplings this close in g2 to a plateau step are not checked
 
 
 @dataclass(frozen=True)
@@ -155,11 +157,11 @@ def figure1_sweep(
     return rows
 
 
-def find_plateau_steps(g2_values, values, jump_threshold: float = 0.4) -> list[tuple[float, float]]:
+def find_plateau_steps(g2_values, values) -> list[tuple[float, float]]:
     """Locate plateau discontinuities in a value-vs-coupling curve.
 
     Returns the (g2_low, g2_high) grid intervals across which the value
-    jumps by more than ``jump_threshold``.  A sector crossing that lands on
+    jumps by more than ``STEP_JUMP``.  A sector crossing that lands on
     a grid point splits an integer jump into two half-sized ones, so the
     threshold sits below 0.5.
     """
@@ -169,12 +171,12 @@ def find_plateau_steps(g2_values, values, jump_threshold: float = 0.4) -> list[t
         raise ValueError("grid and value lists differ in length")
     steps = []
     for a, b, va, vb in zip(g2_values, g2_values[1:], values, values[1:]):
-        if abs(vb - va) > jump_threshold:
+        if abs(vb - va) > STEP_JUMP:
             steps.append((a, b))
     return steps
 
 
-def away_from_steps(g2: float, steps, margin: float = 0.2) -> bool:
-    """True when g2 is at least ``margin`` away from every detected step interval."""
+def away_from_steps(g2: float, steps) -> bool:
+    """True when g2 is at least ``STEP_MARGIN`` away from every detected step interval."""
     eps = 1e-9  # grids are rounded decimals; do not let fp noise flip the boundary
-    return all(g2 <= lo - margin + eps or g2 >= hi + margin - eps for lo, hi in steps)
+    return all(g2 <= lo - STEP_MARGIN + eps or g2 >= hi + STEP_MARGIN - eps for lo, hi in steps)

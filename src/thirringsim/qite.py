@@ -53,10 +53,9 @@ from .statevector import (
 ODD_Y = "odd-y"
 POOL_KINDS = (ODD_Y,)
 
-C_LINEAR = "linear"
 C_EXPONENTIAL = "exponential"
 C_EXACT_NORM = "exact-norm"
-C_MODES = (C_LINEAR, C_EXPONENTIAL, C_EXACT_NORM)
+C_MODES = (C_EXPONENTIAL, C_EXACT_NORM)
 
 DEFAULT_SVD_CUTOFF = 1e-8
 DEFAULT_THRESHOLD = 1e-3
@@ -65,10 +64,6 @@ REAL_STATE_TOL = 1e-6
 
 MODE_EXACT = "exact"
 MODE_SHOTS = "shots"
-
-
-class NonPositiveWeightError(RuntimeError):
-    """Raised when the linear weight 1 - 2*dbeta*<H> is not positive."""
 
 
 @dataclass(frozen=True)
@@ -277,14 +272,6 @@ def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
 
 def _c_step_values(phi: np.ndarray, ham: PauliSum, dbeta: float, energy: np.ndarray,
                    c_mode: str) -> list[float]:
-    if c_mode == C_LINEAR:
-        c = 1.0 - 2.0 * dbeta * energy
-        if np.any(c <= 0):
-            raise NonPositiveWeightError(
-                f"linear weight 1 - 2*dbeta*<H> = {c[c <= 0][0]:.6g} is not positive at "
-                f"dbeta = {dbeta}; rerun with c_mode='exponential' or 'exact-norm'"
-            )
-        return c.tolist()
     if c_mode == C_EXPONENTIAL:
         return [math.exp(-2.0 * dbeta * e) for e in energy.tolist()]
     if c_mode == C_EXACT_NORM:

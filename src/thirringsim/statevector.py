@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, PhasedString, X, Y, Z, cache_key, unpack
+from .pauli import PauliString, PauliSum, X, Y, Z, cache_key, unpack
 
 
 @dataclass
@@ -35,9 +35,6 @@ class QuantumState:
 
     def normalized(self) -> "QuantumState":
         return QuantumState(self.n_sites, self.amplitudes / self.norm())
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.n_sites, self.amplitudes.copy())
 
     def max_imag(self) -> float:
         return float(np.max(np.abs(self.amplitudes.imag)))
@@ -101,13 +98,6 @@ def apply_string(state: QuantumState, ps: PauliString) -> QuantumState:
         raise ValueError("state and string act on different site counts")
     perm, phase = _string_action(ps.letters)
     return QuantumState(state.n_sites, phase * state.amplitudes[perm])
-
-
-def apply_phased_string(state: QuantumState, ps: PhasedString) -> QuantumState:
-    """Apply a phase-carrying Pauli string to a state."""
-    out = apply_string(state, ps.string)
-    out.amplitudes *= ps.phase
-    return out
 
 
 def apply_rotation(state: QuantumState, p: PauliString, theta: float) -> QuantumState:

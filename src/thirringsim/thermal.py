@@ -27,7 +27,7 @@ from .qite import (
     run_trajectory_from_state,
     step_rows,
 )
-from .statevector import QuantumState, basis_state, random_real_state
+from .statevector import QuantumState, random_real_state
 
 
 @dataclass
@@ -57,9 +57,6 @@ class ThermalTable:
             if row.observable == observable and row.k == k:
                 return row.value
         raise KeyError(f"no row for ({observable!r}, k={k})")
-
-    def series(self, observable: str) -> list[ThermalRow]:
-        return [row for row in self.rows if row.observable == observable]
 
 
 def aggregate(
@@ -120,7 +117,6 @@ def qmetts_average(
     dbeta: float,
     n_steps: int,
     pool: OperatorPool,
-    basis_indices=None,
     mode: str = MODE_EXACT,
     shots: int = 1024,
     seed: int = 0,
@@ -128,20 +124,18 @@ def qmetts_average(
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
 ) -> ThermalTable:
-    """Deterministic trace over a set of computational basis states.
+    """Deterministic trace over the complete computational basis.
 
-    The default basis set is the complete Hilbert-space basis, which turns
-    the weighted average into the exact trace formula up to evolution error.
-    All basis states are evolved as one batch, and their trajectories are
-    averaged in ascending index order, so the reduction is bit-stable.
+    The complete basis turns the weighted average into the exact trace
+    formula up to evolution error.  All basis states are evolved as one
+    batch, and their trajectories are averaged in ascending index order, so
+    the reduction is bit-stable.
     """
     dim = 2**ham.n_sites
-    labels = sorted(range(dim) if basis_indices is None else basis_indices)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    rows = [basis_state(i, ham.n_sites).amplitudes.real for i in labels]  # checks each index
-    amps, records = np.reshape(rows, (len(labels), dim)), []
-    states = np.empty((len(labels), n_steps, dim))
+    amps, records = np.eye(dim), []  # row i is basis state i
+    states = np.empty((dim, n_steps, dim))
     for k in range(n_steps):
         amps, step_records = step_rows(amps, ham, dbeta, pool, trotter_steps, threshold, c_mode)
         states[:, k] = amps
@@ -149,7 +143,7 @@ def qmetts_average(
     trajectories = [
         measure(Trajectory(label, list(own), np.cumprod([r.c_step for r in own]).tolist(), kept),
                 observables, mode, shots, seed)
-        for label, own, kept in zip(labels, zip(*records), states)
+        for label, own, kept in zip(range(dim), zip(*records), states)
     ]
     return aggregate(trajectories, observables, dbeta, propagate_shot_errors=(mode == MODE_SHOTS))
 

@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from thirringsim import cli, model, pauli, qite, thermal
+from thirringsim import statevector as sv
 from thirringsim.checks import (
     check_commutator_vs_dense,
     check_design_spectrum,
     check_multiply_vs_dense,
+    check_number_sector_preserved,
 )
 
 
@@ -261,6 +263,15 @@ class TestCompareCommand:
         assert "exclusion window: variant=euclidean g2 in (0.4, 0.9)" in report
         assert "compared 12 points (16 excluded near plateau steps)" in report
 
+    def test_file_cut_mid_row_is_an_error(self, tmp_path, capsys):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        lines = sweep_out.read_text().splitlines(True)
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        # an uncaught KeyError would escape main; a reported error returns 1
+        assert cli.main(["compare", str(cut), str(oracle_out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cut}:{len(lines)}: ")
+
     def test_grid_mismatch_diagnostic(self, tmp_path):
         sweep_out, _ = self._write_pair(tmp_path)
         other = tmp_path / "other.csv"
@@ -324,14 +335,31 @@ class TestValidateCommand:
         assert not check_multiply_vs_dense().passed
         assert not check_commutator_vs_dense().passed
 
+    def test_sector_leak_is_caught(self, monkeypatch):
+        assert check_number_sector_preserved().passed
+        step = qite.step
+
+        def leaky_step(state, *args, **kwargs):
+            new, record = step(state, *args, **kwargs)
+            amps = new.amplitudes.copy()
+            amps[0] += 1e-3  # basis state 0 holds 4 fermions, the checked start state 2
+            return sv.QuantumState(new.n_sites, amps).normalized(), record
+
+        monkeypatch.setattr(qite, "step", leaky_step)
+        result = check_number_sector_preserved()
+        assert not result.passed and "out-of-sector probability" in result.detail
+
 
 class TestMain:
     def test_usage_error_exit_code(self):
-        # the last two are the retired 1/sqrt(C) option and full pool
+        # the others are retired: the 1/sqrt(C) option, the full pool, the
+        # linear weight and compare's plateau-step settings
         for argv in (
             ["no-such-command"],
             ["sweep", "--b-scaling", "unit"],
             ["sweep", "--pool", "full-minus-identity"],
+            ["sweep", "--c-mode", "linear"],
+            ["compare", "a.csv", "b.csv", "--step-margin", "0.3"],
         ):
             with pytest.raises(SystemExit) as einfo:
                 cli.main(argv)
@@ -351,6 +379,36 @@ class TestMain:
             assert cli.main(["sweep", "--mode", "shots", *flags, "--output", out]) == 1
             assert key in capsys.readouterr().err
         assert steps == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--g2-step", "0"], "g2_step must be positive"),
+        (["--g2-step", "-0.1"], "g2_step must be positive"),
+        (["--g2-start", "1", "--g2-stop", "0"], "g2_stop 0.0 is below g2_start 1.0"),
+        (["--g2-stop", "inf"], "g2_stop must be finite"),
+        (["--g2-start", "nan"], "g2_start must be finite"),
+    ])
+    def test_bad_coupling_grid_fails_before_any_step(
+        self, flags, message, tmp_path, monkeypatch, capsys
+    ):
+        steps = []
+        monkeypatch.setattr(thermal, "step_rows", lambda *a, **k: steps.append(a))
+        out = tmp_path / "out.csv"
+        for command in ("sweep", "oracle"):
+            assert cli.main([command, *flags, "--output", str(out)]) == 1
+            assert message in capsys.readouterr().err
+        assert steps == [] and not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "variant = foo", "mode = sampled", "c_mode = linear", "pool = full", "t_grid = log",
+    ])
+    def test_config_value_a_flag_would_refuse_is_rejected(self, line, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        key = line.split()[0]
+        out = tmp_path / "out.csv"
+        assert cli.main(["oracle", "--config", str(config), "--output", str(out)]) == 1
+        assert f"{key} must be one of" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_failure_exit_code(self, tmp_path):
         sweep_out = tmp_path / "sweep.csv"

@@ -167,9 +167,9 @@ class TestStep:
         ham = model.build_h3(4)  # diagonal: basis states are eigenstates
         state = sv.basis_state(9, 4)
         energy = sv.expectation(state, ham).real
-        new, record = qite.step(state, ham, 0.1, pool4, c_mode=qite.C_LINEAR)
+        new, record = qite.step(state, ham, 0.1, pool4)
         assert np.all(record.a == 0) and record.kept_terms == 0
-        assert record.c_step == pytest.approx(1 - 2 * 0.1 * energy)
+        assert record.c_step == pytest.approx(np.exp(-2 * 0.1 * energy))
         assert np.max(np.abs(new.amplitudes - state.amplitudes)) < 1e-12
 
     def test_energy_is_the_expectation_of_h(self, pool4):
@@ -212,13 +212,6 @@ class TestStep:
         _, cut = qite.step(state, ham, 0.2, pool4, threshold=0.05)
         assert cut.kept_terms < full.kept_terms
         assert np.all(np.abs(cut.a[cut.a != 0]) > 0.05)
-
-    def test_linear_mode_negative_weight_raises(self, pool4):
-        # highest-energy basis state of h3 has <h3> = 5, so 1 - 2*0.25*5 < 0
-        ham = model.build_h3(4)
-        state = sv.basis_state(0, 4)
-        with pytest.raises(qite.NonPositiveWeightError, match="c_mode"):
-            qite.step(state, ham, 0.25, pool4, c_mode=qite.C_LINEAR)
 
     def test_exact_norm_mode_matches_oracle_weight(self, pool4):
         rng = np.random.default_rng(11)
@@ -322,12 +315,11 @@ class TestFactoredSolve:
 
 def sequential_rotations(state, pool, a, dbeta, trotter_steps):
     """The step's circuit, one apply_rotation call per kept term and slice."""
-    out = state.copy()
     angles = a * (dbeta / trotter_steps)
     for _ in range(trotter_steps):
         for j in np.flatnonzero(a):
-            out = sv.apply_rotation(out, pool.strings[j], angles[j])
-    return out.normalized()
+            state = sv.apply_rotation(state, pool.strings[j], angles[j])
+    return state.normalized()
 
 
 class TestTrotterSlice:
@@ -396,7 +388,7 @@ class TestStepRows:
     ):
         rng = np.random.default_rng(seed)
         ham = random_real_symmetric_sum(n, rng)
-        # |<H>| <= sum |c|, so every linear weight 1 - 2 dbeta <H> stays positive
+        # |<H>| <= sum |c|, so the step stays small whatever the random coefficients
         dbeta = 0.2 / sum(abs(c) for c in ham.terms.values())
         amps = rng.standard_normal((rows, 2**n))
         amps[rng.random(rows) < 0.3] = np.eye(2**n)[rng.integers(2**n)]
@@ -420,7 +412,7 @@ class TestStepRows:
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         obs = model.default_observables(4)
-        for c_mode in qite.C_MODES[1:]:
+        for c_mode in qite.C_MODES:
             qite.step(sv.random_real_state(4, np.random.default_rng(1)), ham, 0.25, pool4,
                       c_mode=c_mode)
             thermal.qmetts_average(ham, obs, 0.25, 3, pool4, c_mode=c_mode)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from thirringsim import model, pauli
 from thirringsim import statevector as sv
-from thirringsim.pauli import PauliString, PauliSum, PhasedString, to_matrix
+from thirringsim.pauli import PauliString, PauliSum, to_matrix
 
 # chi-square critical value for 15 degrees of freedom at p = 0.001
 CHI2_15_P001 = 37.6973
@@ -90,13 +90,6 @@ class TestApply:
                 want = to_matrix(p) @ state.amplitudes
                 assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_phased_string(self):
-        rng = np.random.default_rng(2)
-        state = random_state(2, rng)
-        p = PhasedString(-1j, PauliString.from_label("XY"))
-        got = sv.apply_phased_string(state, p).amplitudes
-        assert np.max(np.abs(got - (-1j) * (to_matrix(p.string) @ state.amplitudes))) < 1e-12
-
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             sv.apply_string(sv.basis_state(0, 2), PauliString.identity(3))
@@ -151,7 +144,7 @@ class TestRotation:
             if i % 3:
                 state = sv.apply_rotation(state, p, float(rng.uniform(-1, 1)))
             else:
-                state = sv.apply_phased_string(state, PhasedString(phases[i % 4], p))
+                state = sv.QuantumState(4, phases[i % 4] * sv.apply_string(state, p).amplitudes)
         assert abs(state.norm() - 1) < 1e-10
 
     def test_odd_y_rotation_keeps_real_states_real(self):
