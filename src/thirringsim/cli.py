@@ -26,10 +26,15 @@ from dataclasses import dataclass
 from . import __version__, model, oracle, qite, thermal
 from .checks import run_all_checks
 
-CSV_COLUMNS = (
-    "variant", "g2", "k", "beta", "T", "observable",
-    "value", "weight_sum", "stderr", "mode", "seed",
-)
+# every sweep-file column in file order: the type its field reads back as,
+# and whether an empty field reads back as None
+_COLUMNS = {
+    "variant": (str, False), "g2": (float, False), "k": (int, False),
+    "beta": (float, False), "T": (float, False), "observable": (str, False),
+    "value": (float, False), "weight_sum": (float, True), "stderr": (float, True),
+    "mode": (str, False), "seed": (int, True),
+}
+CSV_COLUMNS = tuple(_COLUMNS)
 
 DEFAULT_G2_GRIDS = {
     model.EUCLIDEAN: (0.0, 3.0, 0.1),
@@ -75,8 +80,10 @@ class RunConfig:
     t_start: float = 0.01
     t_stop: float = 1.0
     t_points: int = 100
-    output: str = ""
-    sidecar: bool = False
+    output: str = dataclasses.field(default="", metadata={"aliases": ("-o",)})
+    sidecar: bool = dataclasses.field(
+        default=False, metadata={"help": "also write a .meta.json sidecar with a timestamp"}
+    )
 
     def resolved(self) -> "RunConfig":
         """Fill the variant-dependent coupling-grid defaults; reject a bad value before any work."""
@@ -88,6 +95,9 @@ class RunConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.shots < 1:
             raise ValueError(f"shots must be at least 1, got {self.shots}")
+        for key in ("dbeta", "t_start", "t_stop"):
+            if not 0 < getattr(self, key) < math.inf:  # also false for nan
+                raise ValueError(f"{key} must be positive and finite, got {getattr(self, key)}")
         start, stop, step = DEFAULT_G2_GRIDS[self.variant]
         cfg = dataclasses.replace(
             self,
@@ -108,18 +118,22 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("True", "False", "true", "false"):
+        raise ValueError(f"must be True or False, got {raw!r}")
+    return raw in ("True", "true")
+
+
+# flags and config files parse alike; plain callables keep argparse's "invalid int value"
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": float, "bool": _parse_bool}
+
+
 def _parse_value(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "bool":
-        if raw not in ("True", "False", "true", "false"):
-            raise ValueError(f"boolean key {name} must be True or False, got {raw!r}")
-        return raw in ("True", "true")
-    if kind.startswith("float"):
-        return None if raw == "None" else float(raw)
-    return raw
+    if raw == "None" and kind.endswith("| None"):
+        return None
+    return _PARSERS[kind](raw)
 
 
 def load_config_file(path: str) -> dict:
@@ -136,7 +150,10 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -237,15 +254,12 @@ def read_sweep_csv(path: str) -> tuple[RunConfig, list[dict]]:
             if len(parts) != len(header):
                 raise ValueError(f"{path}:{lineno}: {len(parts)} fields, but the header has "
                                  f"{len(header)}; is the file cut short?")
-            row = dict(zip(header, parts))
-            row["g2"] = float(row["g2"])
-            row["k"] = int(row["k"])
-            row["beta"] = float(row["beta"])
-            row["T"] = float(row["T"])
-            row["value"] = float(row["value"])
-            row["weight_sum"] = float(row["weight_sum"]) if row["weight_sum"] else None
-            row["stderr"] = float(row["stderr"]) if row["stderr"] else None
-            row["seed"] = int(row["seed"]) if row["seed"] else None
+            row = {}
+            for (column, (kind, optional)), raw in zip(_COLUMNS.items(), parts):
+                try:
+                    row[column] = None if optional and not raw else kind(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {column}: {exc}") from None
             rows.append(row)
     return parse_metadata(meta_lines), rows
 
@@ -269,23 +283,12 @@ def _sweep_one_g2(task: tuple[RunConfig, float]) -> list[dict]:
         )
     except Exception as exc:
         raise RuntimeError(f"sweep failed at g2={g2:g}: {exc}") from exc
+    # each column is a RunConfig field, a ThermalRow field, the coupling or T
+    run = {**vars(cfg), "g2": g2}
     rows = []
     for r in table.rows:
-        rows.append(
-            {
-                "variant": cfg.variant,
-                "g2": g2,
-                "k": r.k,
-                "beta": r.beta,
-                "T": r.temperature,
-                "observable": r.observable,
-                "value": r.value,
-                "weight_sum": r.weight_sum,
-                "stderr": r.stderr,
-                "mode": cfg.mode,
-                "seed": cfg.seed,
-            }
-        )
+        values = {**run, **vars(r), "T": r.temperature}
+        rows.append({c: values[c] for c in CSV_COLUMNS})
     return rows
 
 
@@ -330,11 +333,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # compare
 
 
-_NUMERIC_COLUMNS = ("g2", "beta", "T", "value", "weight_sum", "stderr")
-
-
 def _is_finite_row(row: dict) -> bool:
-    return all(row[c] is None or math.isfinite(row[c]) for c in _NUMERIC_COLUMNS)
+    return all(not isinstance(v, float) or math.isfinite(v) for v in row.values())
 
 
 def _row_key(row: dict) -> tuple:
@@ -472,31 +472,15 @@ def cmd_validate(_args: argparse.Namespace) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser, with_t_grid: bool = False) -> None:
     p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--variant", choices=_CHOICES["variant"])
-    p.add_argument("--n-sites", dest="n_sites", type=int)
-    p.add_argument("--am", type=float)
-    p.add_argument("--a-mu", dest="a_mu", type=float)
-    p.add_argument("--g2-start", dest="g2_start", type=float)
-    p.add_argument("--g2-stop", dest="g2_stop", type=float)
-    p.add_argument("--g2-step", dest="g2_step", type=float)
-    p.add_argument("--dbeta", type=float)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--trotter-steps", dest="trotter_steps", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--mode", choices=_CHOICES["mode"])
-    p.add_argument("--shots", type=int)
-    p.add_argument("--c-mode", dest="c_mode", choices=_CHOICES["c_mode"])
-    p.add_argument("--pool", choices=_CHOICES["pool"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--output", "-o")
-    p.add_argument("--sidecar", action="store_const", const=True, default=None,
-                   help="also write a .meta.json sidecar with a timestamp")
-    if with_t_grid:
-        p.add_argument("--t-grid", dest="t_grid", choices=_CHOICES["t_grid"])
-        p.add_argument("--t-start", dest="t_start", type=float)
-        p.add_argument("--t-stop", dest="t_stop", type=float)
-        p.add_argument("--t-points", dest="t_points", type=int)
+    for f in dataclasses.fields(RunConfig):
+        if f.name.startswith("t_") and not with_t_grid:
+            continue
+        if f.type == "bool":
+            options = dict(action="store_const", const=True)
+        else:
+            options = dict(type=_PARSERS[f.type], choices=_CHOICES.get(f.name))
+        p.add_argument(f"--{f.name.replace('_', '-')}", *f.metadata.get("aliases", ()),
+                       dest=f.name, help=f.metadata.get("help"), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,6 @@
 """Command-line driver: files, determinism, comparison, validation."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,49 @@ class TestConfig:
         path.write_text("not_a_key = 3\n")
         with pytest.raises(ValueError):
             cli.load_config_file(str(path))
+
+    def test_config_value_that_does_not_parse_names_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# comment\nseed = x\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--config", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: seed: ")
+        assert not out.exists()
+
+    # a valid value for every RunConfig field, other than the default where
+    # the field has a second valid value
+    FIELD_VALUES = {
+        "variant": "minkowski", "n_sites": "6", "am": "0.3", "a_mu": "0.1",
+        "g2_start": "0.5", "g2_stop": "1.5", "g2_step": "0.5", "dbeta": "0.1",
+        "n_steps": "3", "trotter_steps": "2", "threshold": "0.01", "mode": "shots",
+        "shots": "64", "c_mode": "exact-norm", "pool": "odd-y", "seed": "7", "workers": "2",
+        "t_grid": "qmetts", "t_start": "0.2", "t_stop": "0.8", "t_points": "5",
+        "output": "x.csv", "sidecar": "True",
+    }
+
+    def test_every_field_is_a_flag_and_a_config_key_parsed_alike(self, tmp_path, capsys):
+        fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        assert sorted(fields) == sorted(self.FIELD_VALUES)
+        parser = cli.build_parser()
+        for name in fields:
+            raw = self.FIELD_VALUES[name]
+            flag = f"--{name.replace('_', '-')}"
+            argv = [flag] if raw == "True" else [flag, raw]
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(f"{name} = {raw}\n")
+            for command in ("sweep", "oracle"):
+                if command == "sweep" and name.startswith("t_"):
+                    with pytest.raises(SystemExit) as einfo:
+                        parser.parse_args([command, *argv])
+                    assert einfo.value.code == 2
+                    capsys.readouterr()
+                    continue
+                from_flag = cli.config_from_sources(parser.parse_args([command, *argv]))
+                from_file = cli.config_from_sources(
+                    parser.parse_args([command, "--config", str(config)])
+                )
+                assert from_flag == from_file
+                assert str(getattr(from_flag, name)) == raw
 
     def test_metadata_round_trip(self):
         cfg = tiny_config(mode="shots", shots=64, seed=3, output="x.csv")
@@ -272,6 +317,19 @@ class TestCompareCommand:
         assert cli.main(["compare", str(cut), str(oracle_out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cut}:{len(lines)}: ")
 
+    def test_field_that_does_not_parse_names_path_and_line(self, tmp_path, capsys):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        lines = sweep_out.read_text().splitlines(True)
+        row = lines.index(",".join(cli.CSV_COLUMNS) + "\n") + 1
+        parts = lines[row].split(",")
+        parts[cli.CSV_COLUMNS.index("g2")] = "abc"
+        lines[row] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        assert cli.main(["compare", str(bad), str(oracle_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{row + 1}: g2: ") and "'abc'" in err
+
     def test_grid_mismatch_diagnostic(self, tmp_path):
         sweep_out, _ = self._write_pair(tmp_path)
         other = tmp_path / "other.csv"
@@ -351,7 +409,7 @@ class TestValidateCommand:
 
 
 class TestMain:
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, capsys):
         # the others are retired: the 1/sqrt(C) option, the full pool, the
         # linear weight and compare's plateau-step settings
         for argv in (
@@ -364,6 +422,16 @@ class TestMain:
             with pytest.raises(SystemExit) as einfo:
                 cli.main(argv)
             assert einfo.value.code == 2
+        for argv, wording in (
+            (["sweep", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["oracle", "--dbeta", "x"], "argument --dbeta: invalid float value: 'x'"),
+            (["sweep", "--variant", "foo"], "argument --variant: invalid choice: 'foo'"),
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as einfo:
+                cli.main(argv)
+            assert einfo.value.code == 2
+            assert wording in capsys.readouterr().err
 
     def test_bad_seed_or_shots_fails_before_any_step(self, tmp_path, monkeypatch, capsys):
         steps = []
@@ -386,6 +454,9 @@ class TestMain:
         (["--g2-start", "1", "--g2-stop", "0"], "g2_stop 0.0 is below g2_start 1.0"),
         (["--g2-stop", "inf"], "g2_stop must be finite"),
         (["--g2-start", "nan"], "g2_start must be finite"),
+        (["--dbeta", "0"], "dbeta must be positive and finite, got 0.0"),
+        (["--dbeta", "-0.25"], "dbeta must be positive and finite"),
+        (["--dbeta", "nan"], "dbeta must be positive and finite"),
     ])
     def test_bad_coupling_grid_fails_before_any_step(
         self, flags, message, tmp_path, monkeypatch, capsys
@@ -397,6 +468,24 @@ class TestMain:
             assert cli.main([command, *flags, "--output", str(out)]) == 1
             assert message in capsys.readouterr().err
         assert steps == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--t-start", "0"], "t_start must be positive and finite, got 0.0"),
+        # the linear grid from -0.5 to 1.0 passes through T = 0
+        (["oracle", "--t-start", "-0.5"], "t_start must be positive and finite"),
+        (["oracle", "--t-stop", "inf"], "t_stop must be positive and finite"),
+        (["oracle", "--t-grid", "qmetts", "--dbeta", "0"], "dbeta must be positive and finite"),
+        (["sweep", "--config", "{config}"], "t_stop must be positive and finite"),
+    ])
+    def test_bad_temperature_fails_before_any_work(self, argv, message, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("t_stop = -1\n")
+        out = tmp_path / "out.csv"
+        argv = [a.format(config=config) for a in argv]
+        assert cli.main([*argv, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [
         "variant = foo", "mode = sampled", "c_mode = linear", "pool = full", "t_grid = log",
