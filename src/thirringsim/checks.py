@@ -35,20 +35,21 @@ def check_site_tables() -> CheckResult:
     return CheckResult("site_tables", True, "structural invariants hold")
 
 
+def _dense_check(name, pairs, reduction, dense, detail) -> CheckResult:
+    """Exact comparison of ``reduction(p1, p2)`` with ``dense(m1, m2)`` of the strings' matrices."""
+    for p1, p2 in pairs:
+        got = pauli.to_matrix(reduction(p1, p2), n_sites=p1.n_sites)
+        if not np.array_equal(got, dense(pauli.to_matrix(p1), pauli.to_matrix(p2))):
+            return CheckResult(name, False, f"mismatch for ({p1}, {p2})")
+    return CheckResult(name, True, f"{len(pairs)} {detail}")
+
+
 def check_multiply_vs_dense() -> CheckResult:
     rng = np.random.default_rng(11)
-    pairs = [
-        (pauli.PauliString((a,)), pauli.PauliString((b,)))
-        for a in range(4)
-        for b in range(4)
-    ]
-    pairs += list(_random_pairs(rng))
-    for p1, p2 in pairs:
-        got = pauli.to_matrix(pauli.multiply(p1, p2))
-        want = pauli.to_matrix(p1) @ pauli.to_matrix(p2)
-        if not np.array_equal(got, want):
-            return CheckResult("multiply_vs_dense", False, f"mismatch for {p1} * {p2}")
-    return CheckResult("multiply_vs_dense", True, f"{len(pairs)} products exact")
+    singles = [pauli.PauliString((a,)) for a in range(4)]
+    pairs = [(a, b) for a in singles for b in singles] + list(_random_pairs(rng))
+    return _dense_check("multiply_vs_dense", pairs, pauli.multiply,
+                        lambda m1, m2: m1 @ m2, "products exact")
 
 
 def check_involution() -> CheckResult:
@@ -63,32 +64,16 @@ def check_involution() -> CheckResult:
 
 
 def check_transpose_sum_vs_dense() -> CheckResult:
-    rng = np.random.default_rng(13)
-    count = 0
-    for p1, p2 in _random_pairs(rng):
-        m = pauli.to_matrix(p1) @ pauli.to_matrix(p2)
-        want = m + m.T
-        got = pauli.to_matrix(pauli.sym_transpose_product(p1, p2), n_sites=p1.n_sites)
-        if np.max(np.abs(got - want)) > 1e-12:
-            return CheckResult("transpose_sum_vs_dense", False, f"mismatch for ({p1}, {p2})")
-        count += 1
-    return CheckResult("transpose_sum_vs_dense", True, f"{count} pairs exact")
+    pairs = list(_random_pairs(np.random.default_rng(13)))
+    return _dense_check("transpose_sum_vs_dense", pairs, pauli.sym_transpose_product,
+                        lambda m1, m2: (m := m1 @ m2) + m.T, "pairs exact")
 
 
 def check_commutator_vs_dense() -> CheckResult:
-    rng = np.random.default_rng(14)
-    count = 0
-    for p1, p2 in _random_pairs(rng):
-        m1, m2 = pauli.to_matrix(p1), pauli.to_matrix(p2)
-        want = -1j * (m1 @ m2 - m2 @ m1)
-        result = pauli.minus_i_commutator(p1, p2)
-        got = pauli.to_matrix(result, n_sites=p1.n_sites)
-        if np.max(np.abs(got - want)) > 1e-12:
-            return CheckResult("commutator_vs_dense", False, f"mismatch for ({p1}, {p2})")
-        if not result.is_hermitian(1e-14):
-            return CheckResult("commutator_vs_dense", False, f"non-real output for ({p1}, {p2})")
-        count += 1
-    return CheckResult("commutator_vs_dense", True, f"{count} pairs exact and Hermitian")
+    """Exact equality implies a real coefficient, since -i[P1, P2] is Hermitian."""
+    pairs = list(_random_pairs(np.random.default_rng(14)))
+    return _dense_check("commutator_vs_dense", pairs, pauli.minus_i_commutator,
+                        lambda m1, m2: -1j * (m1 @ m2 - m2 @ m1), "pairs exact and Hermitian")
 
 
 def check_design_spectrum() -> CheckResult:
@@ -119,32 +104,19 @@ def check_design_spectrum() -> CheckResult:
     )
 
 
-def check_even_y_rhs_vanishes() -> CheckResult:
-    """On a real state with a real-symmetric H, every even-Y string's commutator component is 0.
+def check_h_action_vs_dense() -> CheckResult:
+    """H|phi> from the cached plan of the Hamiltonian's terms equals the dense product.
 
-    Component b_s = 2 Re <s phi| -i H phi> is computed from dense matrices,
-    independently of the pool class; its vanishing is why the odd-Y pool
-    loses nothing.
+    Every step's energy, weight and coefficients read this action, so one
+    wrong perm or sign in the plan fails here.
     """
     rng = np.random.default_rng(16)
-    ham = pauli.PauliSum.from_strings(
-        [(pauli.PauliString((3, 0, 0)), 0.7), (pauli.PauliString((1, 1, 0)), 0.4),
-         (pauli.PauliString((0, 3, 3)), -0.3)]
-    )
-    h = pauli.to_matrix(ham, n_sites=3)
-    even_y = [
-        pauli.to_matrix(s)
-        for s in (pauli.PauliString.from_index(j, 3) for j in range(1, 4**3))
-        if s.y_count() % 2 == 0
-    ]
-    worst = 0.0
-    for _ in range(5):
-        phi = random_real_state(3, rng).amplitudes
-        w = -1j * (h @ phi)
-        for s in even_y:
-            worst = max(worst, abs(2.0 * np.vdot(s @ phi, w).real))
-    ok = worst < 1e-10
-    return CheckResult("even_y_rhs_vanishes", ok, f"largest even-Y component {worst:.3e}")
+    ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
+    rows = np.array([random_real_state(4, rng).amplitudes.real for _ in range(5)])
+    got = qite._h_action(rows, qite.make_pool(qite.ODD_Y, 4), ham)
+    worst = float(np.max(np.abs(got - rows @ pauli.to_matrix(ham).real.T)))
+    ok = worst < 1e-12
+    return CheckResult("h_action_vs_dense", ok, f"largest |H phi - dense| {worst:.3e}")
 
 
 def check_number_sector_preserved() -> CheckResult:
@@ -212,7 +184,7 @@ ALL_CHECKS = (
     check_transpose_sum_vs_dense,
     check_commutator_vs_dense,
     check_design_spectrum,
-    check_even_y_rhs_vanishes,
+    check_h_action_vs_dense,
     check_number_sector_preserved,
     check_duality,
     check_fidelity_scaling,

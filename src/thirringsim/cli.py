@@ -204,15 +204,22 @@ def metadata_lines(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def parse_metadata(lines) -> RunConfig:
-    """Reconstruct the RunConfig echoed in a sweep file's comment block."""
+def parse_metadata(lines, path: str = "metadata", linenos=None) -> RunConfig:
+    """Reconstruct the RunConfig echoed in a sweep file's comment block.
+
+    A value that does not parse is reported as ``path:line: key: ...``;
+    ``linenos`` are the file's numbers of ``lines``, by default 1, 2, ...
+    """
     values = {}
-    for line in lines:
+    for lineno, line in zip(linenos or range(1, len(lines) + 1), lines):
         body = line.lstrip("#").strip()
         key, _, raw = body.partition("=")
         key = key.strip()
         if key in _FIELD_TYPES:
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return RunConfig(**values)
 
 
@@ -236,7 +243,7 @@ def write_sweep_csv(path: str, cfg: RunConfig, rows: list[dict]) -> None:
 
 
 def read_sweep_csv(path: str) -> tuple[RunConfig, list[dict]]:
-    meta_lines = []
+    meta_lines, meta_linenos = [], []
     rows = []
     header = None
     with open(path, encoding="utf-8") as fh:
@@ -244,6 +251,7 @@ def read_sweep_csv(path: str) -> tuple[RunConfig, list[dict]]:
             line = line.rstrip("\n")
             if line.startswith("#"):
                 meta_lines.append(line)
+                meta_linenos.append(lineno)
                 continue
             if header is None:
                 header = line.split(",")
@@ -261,7 +269,7 @@ def read_sweep_csv(path: str) -> tuple[RunConfig, list[dict]]:
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {column}: {exc}") from None
             rows.append(row)
-    return parse_metadata(meta_lines), rows
+    return parse_metadata(meta_lines, path, meta_linenos), rows
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +328,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         print("error: oracle requires --output", file=sys.stderr)
         return 2
     rows = oracle.figure1_sweep(
-        cfg.variant, temperature_grid(cfg), g2_grid(cfg), cfg.am, cfg.n_sites
+        cfg.variant, temperature_grid(cfg), g2_grid(cfg), cfg.am, cfg.n_sites, cfg.a_mu
     )
     for row in rows:
         row.update({"weight_sum": None, "stderr": None, "mode": "oracle", "seed": None})
@@ -372,7 +380,7 @@ def compare_files(test_path: str, reference_path: str, tolerance: float = 0.05) 
     for variant in sorted({r["variant"] for r in ref_rows}):
         grid = sorted({r["g2"] for r in ref_rows if r["variant"] == variant})
         low_t = oracle.figure1_sweep(
-            variant, [oracle.LOW_TEMPERATURE], grid, ref_cfg.am, ref_cfg.n_sites
+            variant, [oracle.LOW_TEMPERATURE], grid, ref_cfg.am, ref_cfg.n_sites, ref_cfg.a_mu
         )
         fermion = [r for r in low_t if r["observable"] == model.FERMION_NUMBER]
         steps_by_variant[variant] = oracle.find_plateau_steps(

@@ -124,10 +124,12 @@ def figure1_sweep(
     g2_grid,
     am: float = 0.5,
     n_sites: int = 4,
+    a_mu: float = 0.0,
 ) -> list[dict]:
     """Exact observable tables over a (temperature, coupling) grid.
 
-    Temperatures are in units of 1/a; each grid point yields one row per
+    ``a_mu`` is the Gross-Neveu chemical potential; temperatures are in
+    units of 1/a.  Each grid point yields one row per
     observable with keys variant, g2, k (1-based T index), beta, T,
     observable, value.
     """
@@ -139,7 +141,7 @@ def figure1_sweep(
     betas = [1.0 / t for t in t_grid]
     rows = []
     for g2 in g2_grid:
-        ham = model.assemble(model.ModelParams(variant, n_sites, am, g2)).hamiltonian
+        ham = model.assemble(model.ModelParams(variant, n_sites, am, g2, a_mu)).hamiltonian
         values = thermal_expectation_grid(ham, observables, betas)
         for name in observables:
             for k, (t, beta) in enumerate(zip(t_grid, betas), start=1):

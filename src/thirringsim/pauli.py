@@ -4,12 +4,12 @@ A Pauli string is a tensor product of single-site letters, encoded as
 integers 0..3 for I, X, Y, Z.  Strings are packed into a single index
 j = sum_n l_n * 4**n with site 0 as the least significant base-4 digit.
 
-Products, anticommutator-with-transpose sums and commutators are reduced
-through four 4x4 site tables (M_a .. M_d) instead of dense matrices:
-M_a gives the product letter, M_b marks letter pairs that pick up a
-factor of i, M_c encodes the sign of that factor, and M_d marks sites
-whose product letter is Y (the letters that flip sign under matrix
-transposition).
+Products are reduced through four 4x4 site tables (M_a .. M_d) instead of
+dense matrices: M_a gives the product letter, M_b marks letter pairs that
+pick up a factor of i, M_c encodes the sign of that factor, and M_d marks
+sites whose product letter is Y (the letters that flip sign under matrix
+transposition).  The product-plus-transpose sum and the commutator follow
+from the product: the first by the M_d parity, the second by its phase.
 """
 from __future__ import annotations
 
@@ -285,24 +285,14 @@ def sym_transpose_product(p1: PauliString, p2: PauliString) -> PauliSum:
 def minus_i_commutator(p1: PauliString, p2: PauliString) -> PauliSum:
     """The Hermitian operator -i*(p1*p2 - p2*p1).
 
-    Zero when the strings commute (even M_b count); otherwise a single
-    string with a real coefficient of magnitude 2.  The sign comes from
-    the untransposed M_c convention.
+    Zero when the product's phase is real, because the strings then
+    commute; otherwise p2*p1 = -p1*p2, so it is -2i times the product, a
+    single string with a real coefficient of magnitude 2.
     """
-    if p1.n_sites != p2.n_sites:
-        raise ValueError(f"site count mismatch: {p1.n_sites} vs {p2.n_sites}")
-    m_a, m_b, m_c = TABLES.m_a, TABLES.m_b, TABLES.m_c
-    mb_sum = 0
-    mc_sum = 0
-    letters = []
-    for x, y in zip(p1.letters, p2.letters):
-        letters.append(int(m_a[x, y]))
-        mb_sum += int(m_b[x, y])
-        mc_sum += int(m_c[x, y])
-    if mb_sum % 2 == 0:
+    ph = multiply(p1, p2)
+    if ph.phase.imag == 0:
         return PauliSum.zero(p1.n_sites)
-    coeff = (-1) ** (mc_sum % 2) * (1j) ** ((1 + mb_sum) % 4) * 2
-    return PauliSum(p1.n_sites, {pack(letters): complex(coeff)})
+    return PauliSum(p1.n_sites, {ph.string.packed_index: -2j * ph.phase})
 
 
 def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -> np.ndarray:

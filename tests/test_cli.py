@@ -9,8 +9,10 @@ from thirringsim import statevector as sv
 from thirringsim.checks import (
     check_commutator_vs_dense,
     check_design_spectrum,
+    check_h_action_vs_dense,
     check_multiply_vs_dense,
     check_number_sector_preserved,
+    check_transpose_sum_vs_dense,
 )
 
 
@@ -330,6 +332,33 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{row + 1}: g2: ") and "'abc'" in err
 
+    def test_metadata_value_that_does_not_parse_names_path_and_line(self, tmp_path, capsys):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        lines = oracle_out.read_text().splitlines(True)
+        seed_line = lines.index("# seed=0\n")
+        lines[seed_line] = "# seed=x\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        assert cli.main(["compare", str(sweep_out), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{seed_line + 1}: seed: ") and "'x'" in err
+        assert "Traceback" not in err
+
+    def test_gross_neveu_chemical_potential_reaches_the_oracle(self, tmp_path, capsys):
+        grid = ["--variant", "gross-neveu", "--g2-start", "0", "--g2-stop", "0.2",
+                "--g2-step", "0.1"]
+        sweep_out, oracle_out, zero_mu = (tmp_path / f for f in ("s.csv", "o.csv", "o0.csv"))
+        assert cli.main(["sweep", *grid, "--a-mu", "0.8", "--output", str(sweep_out)]) == 0
+        for a_mu, out in (("0.8", oracle_out), ("0", zero_mu)):
+            assert cli.main(["oracle", *grid, "--a-mu", a_mu, "--t-grid", "qmetts",
+                             "--output", str(out)]) == 0
+        _, rows = cli.read_sweep_csv(str(oracle_out))
+        _, rows_zero = cli.read_sweep_csv(str(zero_mu))
+        assert [r["value"] for r in rows] != [r["value"] for r in rows_zero]
+        capsys.readouterr()
+        assert cli.main(["compare", str(sweep_out), str(oracle_out), "--tolerance", "0.15"]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+
     def test_grid_mismatch_diagnostic(self, tmp_path):
         sweep_out, _ = self._write_pair(tmp_path)
         other = tmp_path / "other.csv"
@@ -392,6 +421,38 @@ class TestValidateCommand:
         monkeypatch.setattr(pauli, "TABLES", bad)
         assert not check_multiply_vs_dense().passed
         assert not check_commutator_vs_dense().passed
+
+    @pytest.mark.parametrize("name, check", [
+        ("multiply", check_multiply_vs_dense),
+        ("sym_transpose_product", check_transpose_sum_vs_dense),
+        ("minus_i_commutator", check_commutator_vs_dense),
+    ])
+    def test_every_algebra_check_can_fail(self, name, check, monkeypatch):
+        assert check().passed
+        reduction = getattr(pauli, name)
+
+        def rotated(p1, p2):
+            result = reduction(p1, p2)
+            if isinstance(result, pauli.PhasedString):
+                return pauli.PhasedString(1j * result.phase, result.string)
+            return 1j * result
+
+        monkeypatch.setattr(pauli, name, rotated)
+        assert not check().passed
+
+    def test_corrupted_hamiltonian_plan_is_caught(self, monkeypatch):
+        assert check_h_action_vs_dense().passed
+        rhs_plan = qite._rhs_plan
+
+        def flipped_plan(pool, ham_key):
+            perms, phases = rhs_plan(pool, ham_key)
+            phases = phases.copy()
+            phases[1] *= -1  # one term's sign
+            return perms, phases
+
+        monkeypatch.setattr(qite, "_rhs_plan", flipped_plan)
+        result = check_h_action_vs_dense()
+        assert not result.passed and "largest |H phi - dense|" in result.detail
 
     def test_sector_leak_is_caught(self, monkeypatch):
         assert check_number_sector_preserved().passed
