@@ -14,7 +14,11 @@ of anticommutator and commutator expectations as its reference.
 Coefficients below a magnitude threshold are dropped and the generator is
 applied as a first-order Trotter product of Pauli rotations: the kept
 rotations are multiplied once into the 2^N x 2^N matrix of one Trotter
-slice, which is then applied ``trotter_steps`` times.  ``step_rows`` steps
+slice, which is then applied ``trotter_steps`` times.  The slice groups
+the rotations by flip mask, the X/Y bits of a string, in ascending mask
+order.  Odd-Y strings with the same mask commute, so each group's product
+is exactly one rotation within the basis pairs (i, i^mask): a slice has
+2^N - 1 factors, not one per kept string.  ``step_rows`` steps
 a batch of states, each row bitwise as ``step`` steps it alone.  Chaining
 steps from a basis state yields a trajectory whose running product of step
 weights is the state's contribution to the thermal trace; ``measure`` then
@@ -22,7 +26,7 @@ evaluates every observable on the trajectory's stored states.
 
 The permutation and sign arrays of the pool's generators and of the
 Hamiltonian's terms are cached, so A^T w and H|phi> are one fancy index
-each and a rotation is one signed row permutation of the slice matrix.
+each and a group's rotation is one row permutation of the slice matrix.
 """
 from __future__ import annotations
 
@@ -248,23 +252,48 @@ def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_C
     return a, residual
 
 
+@lru_cache(maxsize=8)
+def _flip_plan(pool: OperatorPool):
+    """Pool indices grouped by flip mask, a (2^N - 1, 2^(N-1)) array, and each group's perm.
+
+    The flip mask of s_j is perms[j, 0], the X/Y bits of the string.  The
+    groups are in ascending flip mask and list their strings in pool order;
+    the complete odd-Y pool has 2^(N-1) strings for every nonzero mask.
+    """
+    perms, _ = _gram_plan(pool)
+    members = np.argsort(perms[:, 0], kind="stable").reshape(perms.shape[1] - 1, -1)
+    return members, perms[members[:, 0]]
+
+
 def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
     """Matrices of one first-order Trotter slice, prod_j exp(-i angles[..., j] s_j).
 
-    The rotations act in ascending pool order, each as
-    exp(-i t s_j) = cos t I + sin t (-i s_j) on the rows of the running
-    product; a zero angle is an exact identity, so only strings with a
-    nonzero angle for some leading (batch) index are visited.  -i s_j is
-    the real signed permutation (perms[j], gens[j]), so a slice is real orthogonal.
+    The rotations are grouped by flip mask f and the groups act in
+    ascending f on the rows of the running product.  Odd-Y strings that
+    share f commute (f.z is odd for both, so their symplectic product is
+    even), and each generator -i s_j = (perms[j], gens[j]) of the group maps
+    basis index i to i^f with sign gens[j, i] = -gens[j, i^f].  The group's
+    product is therefore exactly one pair rotation,
+    u[i] <- cos theta(i) u[i] + sin theta(i) u[i^f], with
+    theta(i) = sum_j angles[..., j] gens[j, i] over the group.  A group
+    whose angles are all zero is an exact identity, so only groups with a
+    nonzero angle for some leading (batch) index are visited.  A slice is
+    real orthogonal.
     """
-    perms, gens = _gram_plan(pool)
-    live = np.flatnonzero(np.any(angles.reshape(-1, angles.shape[-1]), axis=0))
-    sin_gens = np.sin(angles[..., live, None]) * gens[live]
-    cos = np.cos(angles[..., live, None, None])
-    u = np.eye(perms.shape[1]) * np.ones(angles.shape[:-1] + (1, 1))
-    for k, j in enumerate(live):
-        rotated = np.take(u, perms[j], axis=-2)
-        rotated *= sin_gens[..., k, :, None]
+    _, gens = _gram_plan(pool)
+    members, group_perms = _flip_plan(pool)
+    dim, size = gens.shape[1], members.shape[1]
+    t = angles[..., members]
+    live = np.flatnonzero(np.any(t.reshape((-1,) + members.shape), axis=(0, 2)))
+    # theta, summed along one row of a 2-D view so that batch rows stay bitwise independent
+    terms = np.empty(angles.shape[:-1] + (len(live), dim, size))
+    np.multiply(t[..., live, None, :], gens[members[live]].transpose(0, 2, 1), out=terms)
+    theta = np.sum(terms.reshape(-1, size), axis=1).reshape(terms.shape[:-1] + (1,))
+    cos, sin = np.cos(theta), np.sin(theta)
+    u = np.eye(dim) * np.ones(angles.shape[:-1] + (1, 1))
+    for k, g in enumerate(live):
+        rotated = np.take(u, group_perms[g], axis=-2)
+        rotated *= sin[..., k, :, :]
         u *= cos[..., k, :, :]
         u += rotated
     return u
@@ -296,7 +325,8 @@ def step_rows(amps: np.ndarray, ham: PauliSum, dbeta: float, pool: OperatorPool,
     if not np.all(np.isfinite(amps)):
         raise ValueError("non-finite state amplitudes")
     perms, gens = _gram_plan(pool)
-    # rows per pass: their (rows, pool, 2^N) products take about 2 MB (16 rows at N = 4, 2 at N = 6)
+    # rows per pass: their (rows, pool, 2^N) products for A^T w and for the slice's angles
+    # theta take about 2 MB each (136 rows at N = 4, 2 at N = 6)
     new, records, chunk = np.empty_like(amps), [], max(1, 2**21 // perms.nbytes)
     for lo in range(0, len(amps), chunk):
         phi = amps[lo:lo + chunk]
@@ -331,8 +361,9 @@ def step(
     """One imaginary-time step of size dbeta.
 
     Takes the closed-form coefficients, zeroes those at or below the
-    magnitude threshold, multiplies the kept rotations in ascending packed
-    order into one Trotter-slice matrix, applies that slice
+    magnitude threshold, multiplies the kept rotations into one
+    Trotter-slice matrix, one exact pair rotation per flip mask in
+    ascending mask order (see ``_trotter_slice``), applies that slice
     ``trotter_steps`` times, and returns the normalized state with the
     step record.  The state must be real and the Hamiltonian real
     symmetric; anything else raises ValueError.

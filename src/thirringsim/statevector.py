@@ -206,9 +206,9 @@ def estimate_diagonal_variance(counts: ShotCounts, op: PauliSum) -> float:
 
 
 def exact_diagonal_variance(state: QuantumState, op: PauliSum) -> float:
-    """Single-shot variance of a Z-diagonal observable under |amplitude|^2."""
+    """Single-shot variance of a Z-diagonal observable under |amplitude|^2, clamped at 0."""
     eig = _diagonal_eigenvalues(cache_key(op))
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     mean = float(probs @ eig)
-    return float(probs @ eig**2 - mean**2)
+    return max(float(probs @ eig**2 - mean**2), 0.0)

@@ -313,11 +313,21 @@ class TestFactoredSolve:
             qite.step(random_complex_state(4, rng), model.build_h3(4), 0.1, pool4)
 
 
+def flip_mask(s):
+    """The X/Y bits of a string, site n at bit n: the basis flip it applies."""
+    return sum(1 << n for n, letter in enumerate(s.letters) if letter in (pauli.X, pauli.Y))
+
+
 def sequential_rotations(state, pool, a, dbeta, trotter_steps):
-    """The step's circuit, one apply_rotation call per kept term and slice."""
+    """The step's circuit, one apply_rotation call per kept term and slice.
+
+    The kept strings act in (flip mask, packed index) order.
+    """
     angles = a * (dbeta / trotter_steps)
+    kept = sorted(np.flatnonzero(a), key=lambda j: (flip_mask(pool.strings[j]),
+                                                    pool.strings[j].packed_index))
     for _ in range(trotter_steps):
-        for j in np.flatnonzero(a):
+        for j in kept:
             state = sv.apply_rotation(state, pool.strings[j], angles[j])
     return state.normalized()
 
@@ -348,6 +358,22 @@ class TestTrotterSlice:
         assert record.kept_terms > 0
         want = sequential_rotations(state, pool, record.a, 0.25, qite.DEFAULT_TROTTER_STEPS)
         assert np.max(np.abs(new.amplitudes - want.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_strings_sharing_a_flip_mask_commute(self, n):
+        # why one pair rotation per flip mask is the exact product of the group's rotations
+        pool = qite.make_pool(qite.ODD_Y, n)
+        members, group_perms = qite._flip_plan(pool)
+        assert members.shape == (2**n - 1, 2 ** (n - 1))
+        assert sorted(members.ravel()) == list(range(pool.size))
+        for f, group, perm in zip(range(1, 2**n), members, group_perms):
+            strings = [pool.strings[j] for j in group]
+            assert [flip_mask(s) for s in strings] == [f] * len(strings)
+            assert list(group) == sorted(group)
+            assert np.array_equal(perm, np.arange(2**n) ^ f)
+            for i, p1 in enumerate(strings):
+                for p2 in strings[i + 1:]:
+                    assert pauli.minus_i_commutator(p1, p2).terms == {}
 
     def test_odd_y_slice_is_real_orthogonal(self, pool4):
         rng = np.random.default_rng(62)
@@ -405,6 +431,24 @@ class TestStepRows:
                 own.c_step, own.energy, own.kept_terms, own.residual
             )
 
+    def test_six_site_rows_are_bitwise_the_rows_stepped_alone(self):
+        # 2 rows per pass at N = 6, so the five rows run as passes of 2, 2 and 1
+        rng = np.random.default_rng(65)
+        pool = qite.make_pool(qite.ODD_Y, 6)
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 6, 0.5, 1.0)).hamiltonian
+        amps = np.concatenate([rng.standard_normal((3, 64)), np.eye(64)[[3, 21]]])
+        amps[:3] /= np.linalg.norm(amps[:3], axis=1, keepdims=True)
+        new, records = qite.step_rows(amps, ham, 0.25, pool, qite.DEFAULT_TROTTER_STEPS,
+                                      qite.DEFAULT_THRESHOLD, qite.C_EXPONENTIAL)
+        for row, record in enumerate(records):
+            alone, own = qite.step(sv.QuantumState(6, amps[row]), ham, 0.25, pool)
+            assert record.kept_terms > 0
+            assert np.array_equal(new[row], alone.amplitudes.real)
+            assert np.array_equal(record.a, own.a)
+            assert (record.c_step, record.energy, record.residual) == (
+                own.c_step, own.energy, own.residual
+            )
+
     def test_no_least_squares_solve(self, pool4, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.lstsq was called")
@@ -457,19 +501,20 @@ class TestTrajectory:
             assert cur <= prev + 1e-9
 
     def test_frozen_trajectory_regression(self, pool4):
-        # three default-mode steps from |0011>, values frozen from a verified
-        # build; the fermion number is conserved exactly along the trajectory
+        # three default-mode steps from |0011>, values frozen from a build whose
+        # states matched sequential_rotations to 1e-12 at every step; the fermion
+        # number is conserved exactly along the trajectory
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         traj = qite.run_trajectory(3, ham, 0.25, 3, model.default_observables(4), pool4)
         assert [r.energy for r in traj.records] == pytest.approx(
-            [0.0, -0.858787479915, -1.399292337654], abs=1e-9
+            [0.0, -0.858372961019, -1.398027912539], abs=1e-9
         )
         assert traj.cumulative_weights == pytest.approx(
-            [1.0, 1.536325828190, 3.092685813807], abs=1e-9
+            [1.0, 1.536007443142, 3.090090680065], abs=1e-9
         )
         assert [r.kept_terms for r in traj.records] == [16, 24, 56]
         assert traj.observables[model.CHIRAL_CONDENSATE] == pytest.approx(
-            [-0.000018730911, -0.186327143167, -0.446590152369], abs=1e-9
+            [0.000757060729, -0.185249232456, -0.446903423784], abs=1e-9
         )
         assert traj.observables[model.FERMION_NUMBER] == pytest.approx(
             [2.0, 2.0, 2.0], abs=1e-12

@@ -328,3 +328,18 @@ class TestSampling:
         plug_in = sv.estimate_diagonal_variance(counts, h2) * 200_000
         exact = sv.exact_diagonal_variance(state, h2)
         assert plug_in == pytest.approx(exact, rel=0.05)
+
+    def test_exact_variance_of_a_single_sector_state_is_not_negative(self):
+        # every basis index with two of four bits set has fermion number 2, so
+        # the variance is 0; unclamped, E[n^2] - E[n]^2 rounds to -8.9e-16 here
+        n_op = model.default_observables(4)[model.FERMION_NUMBER]
+        amps = np.zeros(16)
+        two_set = [i for i in range(16) if bin(i).count("1") == 2]
+        amps[two_set] = np.random.default_rng(49).standard_normal(len(two_set))
+        state = sv.QuantumState(4, amps / np.linalg.norm(amps))
+        probs = np.abs(state.amplitudes) ** 2
+        probs /= probs.sum()
+        eig = np.array([bin(i).count("1") for i in range(16)], dtype=float)
+        assert eig @ probs == pytest.approx(2.0)
+        assert probs @ eig**2 - (probs @ eig) ** 2 < 0
+        assert sv.exact_diagonal_variance(state, n_op) == 0.0
