@@ -82,8 +82,8 @@ def check_design_spectrum() -> CheckResult:
     The matrices -i s_j of the odd-Y strings are an orthogonal basis of the
     real antisymmetric d x d matrices, each with squared Frobenius norm d,
     and column j of A is -i s_j|phi>, so A A^T = (d/2)(I - |phi><phi|).  One wrong perm or sign entry
-    in the cached pool plan, which the step's solve and its Trotter slice
-    both read, breaks this.
+    in ``_gram_plan``, the reference plan that ``_design_matrix``,
+    ``build_gram`` and ``build_rhs`` read, breaks this.
     """
     rng = np.random.default_rng(15)
     n_sites = 4
@@ -102,6 +102,25 @@ def check_design_spectrum() -> CheckResult:
         "design_spectrum", ok,
         f"rank {sorted(ranks)} (want {dim - 1}), largest |s^2 - {dim // 2}| {worst:.3e}",
     )
+
+
+def check_walsh_coefficients_vs_design() -> CheckResult:
+    """A step's coefficients at threshold 0 equal 2 A^T w / (d |phi|^2), A from ``_design_matrix``.
+
+    The step reads them off one Hadamard product over the (flip, phase)
+    layout of ``_walsh_plan``, so one wrong cell or sign there fails.
+    """
+    rng = np.random.default_rng(18)
+    ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
+    pool, dense = qite.make_pool(qite.ODD_Y, 4), pauli.to_matrix(ham).real
+    worst = 0.0
+    for state in [random_real_state(4, rng) for _ in range(5)]:
+        phi = state.amplitudes.real
+        want = qite._design_matrix(state, pool).T @ -(dense @ phi) * (2.0 / (16 * phi @ phi))
+        got = qite.step(state, ham, 0.1, pool, threshold=0.0)[1].a
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return CheckResult("walsh_coefficients_vs_design", worst < 1e-12,
+                       f"largest |a - 2 A^T w / (d |phi|^2)| {worst:.3e}")
 
 
 def check_h_action_vs_dense() -> CheckResult:
@@ -184,6 +203,7 @@ ALL_CHECKS = (
     check_transpose_sum_vs_dense,
     check_commutator_vs_dense,
     check_design_spectrum,
+    check_walsh_coefficients_vs_design,
     check_h_action_vs_dense,
     check_number_sector_preserved,
     check_duality,

@@ -11,22 +11,25 @@ A A^T = (d/2)(|phi|^2 I - |phi><phi|) and the least-squares solution is
 a = 2 A^T w / (d |phi|^2): no linear system is solved.  ``build_gram``,
 ``build_rhs`` and ``solve`` keep the Gram system G = 2 A^T A, b = 2 A^T w
 of anticommutator and commutator expectations as its reference.
-Coefficients below a magnitude threshold are dropped and the generator is
-applied as a first-order Trotter product of Pauli rotations: the kept
-rotations are multiplied once into the 2^N x 2^N matrix of one Trotter
-slice, which is then applied ``trotter_steps`` times.  The slice groups
-the rotations by flip mask, the X/Y bits of a string, in ascending mask
-order.  Odd-Y strings with the same mask commute, so each group's product
-is exactly one rotation within the basis pairs (i, i^mask): a slice has
-2^N - 1 factors, not one per kept string.  ``step_rows`` steps
+Each odd-Y string is fixed by its flip mask, phase mask and sign, so one
+d x d product with the Sylvester Hadamard matrix gives A^T w for every
+string at once (see ``_walsh_plan``).  Coefficients below a magnitude
+threshold are dropped and the generator is applied as a first-order
+Trotter product of Pauli rotations: the kept rotations are multiplied once
+into the 2^N x 2^N matrix of one Trotter slice, which is then applied
+``trotter_steps`` times.  The slice groups the rotations by flip mask in
+ascending mask order.  Odd-Y strings with the same mask commute, so each
+group's product is exactly one rotation within the basis pairs (i, i^mask),
+and every group's angles are again one product with the Hadamard matrix: a
+slice has 2^N - 1 factors, not one per kept string.  ``step_rows`` steps
 a batch of states, each row bitwise as ``step`` steps it alone.  Chaining
 steps from a basis state yields a trajectory whose running product of step
 weights is the state's contribution to the thermal trace; ``measure`` then
 evaluates every observable on the trajectory's stored states.
 
-The permutation and sign arrays of the pool's generators and of the
-Hamiltonian's terms are cached, so A^T w and H|phi> are one fancy index
-each and a group's rotation is one row permutation of the slice matrix.
+The pool's (flip, phase) layout and the Hamiltonian's perms and signs are
+cached, so H|phi> is one fancy index and a group's rotation is one row
+permutation of the slice matrix.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracle
-from .pauli import PauliString, PauliSum, cache_key, unpack
+from .pauli import X, Y, Z, PauliString, PauliSum, cache_key, unpack
 # The benchmark counts Pauli products through these two names.
 from .pauli import minus_i_commutator, multiply  # noqa: F401
 # The benchmark times rotations, shots and estimates through these names;
@@ -165,7 +168,8 @@ def _gram_plan(pool: OperatorPool):
     """(pool, 2^N) perm and generator arrays: (-i s_j|phi>)[i] = gens[j, i] * phi[perms[j, i]].
 
     The phases of an odd-Y string are imaginary, so each generator -i s_j
-    is a real signed permutation.
+    is a real signed permutation.  The step reads ``_walsh_plan`` instead;
+    this plan is the reference behind ``_design_matrix``.
     """
     perms, phases = _string_actions(np.array([s.letters for s in pool.strings]))
     return perms, np.ascontiguousarray(phases.imag)
@@ -253,16 +257,24 @@ def solve(matrix: np.ndarray, rhs: np.ndarray, svd_cutoff: float = DEFAULT_SVD_C
 
 
 @lru_cache(maxsize=8)
-def _flip_plan(pool: OperatorPool):
-    """Pool indices grouped by flip mask, a (2^N - 1, 2^(N-1)) array, and each group's perm.
+def _walsh_plan(pool: OperatorPool):
+    """The pool in its (flip, phase) layout: perms, Hadamard matrix, each string's cell and sign.
 
-    The flip mask of s_j is perms[j, 0], the X/Y bits of the string.  The
-    groups are in ascending flip mask and list their strings in pool order;
-    the complete odd-Y pool has 2^(N-1) strings for every nonzero mask.
+    Odd-Y s_j with flip mask x_j (X/Y bits), phase mask z_j (Z/Y bits) and
+    n_Y Y letters acts as (-i s_j|phi>)[i] = sigma_j H[z_j, i] phi[i^x_j],
+    sigma_j = (-1)^((n_Y + 1)/2) and H[z, i] = (-1)^popcount(z & i), which is
+    ``_gram_plan`` entry for entry.  Returns the (d, d) perms xor[f] = i^f,
+    H, each string's cell x_j d + z_j and sigma_j.
     """
-    perms, _ = _gram_plan(pool)
-    members = np.argsort(perms[:, 0], kind="stable").reshape(perms.shape[1] - 1, -1)
-    return members, perms[members[:, 0]]
+    letters = np.array([s.letters for s in pool.strings])
+    idx, bits = np.arange(2**pool.n_sites), 1 << np.arange(pool.n_sites)
+    flips = ((letters == X) | (letters == Y)) @ bits
+    phases = ((letters == Z) | (letters == Y)) @ bits
+    signs = np.where(np.count_nonzero(letters == Y, axis=1) % 4 == 1, -1.0, 1.0)
+    hadamard = np.ones((1, 1))
+    for _ in range(pool.n_sites):
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    return idx[:, None] ^ idx, hadamard, flips * len(idx) + phases, signs
 
 
 def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
@@ -271,28 +283,27 @@ def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
     The rotations are grouped by flip mask f and the groups act in
     ascending f on the rows of the running product.  Odd-Y strings that
     share f commute (f.z is odd for both, so their symplectic product is
-    even), and each generator -i s_j = (perms[j], gens[j]) of the group maps
-    basis index i to i^f with sign gens[j, i] = -gens[j, i^f].  The group's
-    product is therefore exactly one pair rotation,
-    u[i] <- cos theta(i) u[i] + sin theta(i) u[i^f], with
-    theta(i) = sum_j angles[..., j] gens[j, i] over the group.  A group
-    whose angles are all zero is an exact identity, so only groups with a
-    nonzero angle for some leading (batch) index are visited.  A slice is
-    real orthogonal.
+    even), and each generator -i s_j maps basis index i to i^f with sign
+    sigma_j H[z_j, i] = -sigma_j H[z_j, i^f].  The group's product is
+    therefore exactly one pair rotation,
+    u[i] <- cos theta(i) u[i] + sin theta(i) u[i^f], with theta = T H, T the
+    signed angles sigma_j angles[..., j] at their cells (f, z_j) of a d x d
+    array: every group at once.  A group whose angles are all zero is an
+    exact identity, so only groups with a nonzero angle for some leading
+    (batch) index are visited.  A slice is real orthogonal.
     """
-    _, gens = _gram_plan(pool)
-    members, group_perms = _flip_plan(pool)
-    dim, size = gens.shape[1], members.shape[1]
-    t = angles[..., members]
-    live = np.flatnonzero(np.any(t.reshape((-1,) + members.shape), axis=(0, 2)))
-    # theta, summed along one row of a 2-D view so that batch rows stay bitwise independent
-    terms = np.empty(angles.shape[:-1] + (len(live), dim, size))
-    np.multiply(t[..., live, None, :], gens[members[live]].transpose(0, 2, 1), out=terms)
-    theta = np.sum(terms.reshape(-1, size), axis=1).reshape(terms.shape[:-1] + (1,))
+    xor, hadamard, cells, signs = _walsh_plan(pool)
+    dim = len(xor)
+    t = np.zeros(angles.shape[:-1] + (dim * dim,))
+    t[..., cells] = angles * signs
+    t = t.reshape(angles.shape[:-1] + (dim, dim))
+    live = np.flatnonzero(np.any(t.reshape(-1, dim, dim), axis=(0, 2)))
+    # the full d x d product, whose shape does not depend on the live groups, keeps rows independent
+    theta = (t @ hadamard)[..., live, :, None]
     cos, sin = np.cos(theta), np.sin(theta)
     u = np.eye(dim) * np.ones(angles.shape[:-1] + (1, 1))
-    for k, g in enumerate(live):
-        rotated = np.take(u, group_perms[g], axis=-2)
+    for k, f in enumerate(live):
+        rotated = np.take(u, xor[f], axis=-2)
         rotated *= sin[..., k, :, :]
         u *= cos[..., k, :, :]
         u += rotated
@@ -314,8 +325,8 @@ def step_rows(amps: np.ndarray, ham: PauliSum, dbeta: float, pool: OperatorPool,
               threshold: float, c_mode: str) -> tuple[np.ndarray, list[StepRecord]]:
     """``step`` of each real row of a (B, 2^N) array: the new rows and one StepRecord per row.
 
-    Every reduction runs within one row, so a row's result does not depend
-    on the other rows, bit for bit.
+    Every reduction and matrix product runs within one row, so a row's
+    result does not depend on the other rows, bit for bit.
     """
     if not (math.isfinite(dbeta) and dbeta >= 0):
         raise ValueError("dbeta must be finite and non-negative")
@@ -324,20 +335,20 @@ def step_rows(amps: np.ndarray, ham: PauliSum, dbeta: float, pool: OperatorPool,
     amps = np.ascontiguousarray(amps, dtype=float)
     if not np.all(np.isfinite(amps)):
         raise ValueError("non-finite state amplitudes")
-    perms, gens = _gram_plan(pool)
-    # rows per pass: their (rows, pool, 2^N) products for A^T w and for the slice's angles
-    # theta take about 2 MB each (136 rows at N = 4, 2 at N = 6)
-    new, records, chunk = np.empty_like(amps), [], max(1, 2**21 // perms.nbytes)
+    xor, hadamard, cells, signs = _walsh_plan(pool)
+    # rows per pass: each (rows, 2^N, 2^N) array of the coefficients and of the slice takes
+    # about 2 MB (1024 rows at N = 4, 64 at N = 6)
+    new, records, chunk = np.empty_like(amps), [], max(1, 2**21 // hadamard.nbytes)
     for lo in range(0, len(amps), chunk):
         phi = amps[lo:lo + chunk]
         h_phi = _h_action(phi, pool, ham)
         energy, norm2 = np.sum(phi * h_phi, axis=1), np.sum(phi * phi, axis=1)
         c_step = _c_step_values(phi, ham, dbeta, energy, c_mode)
-        # A^T w, summed along one row of a 2-D view so that rows stay bitwise independent
-        at_w = phi[:, perms] * gens
-        at_w *= -h_phi[:, None, :]
-        at_w = np.sum(at_w.reshape(-1, perms.shape[1]), axis=1).reshape(len(phi), -1)
-        a = at_w * (2.0 / (perms.shape[1] * norm2))[:, None]
+        # A^T w of every (flip, phase) cell is (V H)[f, z], V[f, i] = phi[i^f] w[i]
+        v = phi[:, xor]
+        v *= -h_phi[:, None, :]
+        at_w = (v @ hadamard).reshape(len(phi), -1)[:, cells] * signs
+        a = at_w * (2.0 / (len(xor) * norm2))[:, None]
         a = np.where(np.abs(a) > threshold, a, 0.0)
         kept = np.count_nonzero(a, axis=1)
         if dbeta > 0 and kept.any():
@@ -360,13 +371,13 @@ def step(
 ) -> tuple[QuantumState, StepRecord]:
     """One imaginary-time step of size dbeta.
 
-    Takes the closed-form coefficients, zeroes those at or below the
-    magnitude threshold, multiplies the kept rotations into one
-    Trotter-slice matrix, one exact pair rotation per flip mask in
-    ascending mask order (see ``_trotter_slice``), applies that slice
-    ``trotter_steps`` times, and returns the normalized state with the
-    step record.  The state must be real and the Hamiltonian real
-    symmetric; anything else raises ValueError.
+    Takes the closed-form coefficients from one Hadamard product (see
+    ``_walsh_plan``), zeroes those at or below the magnitude threshold,
+    multiplies the kept rotations into one Trotter-slice matrix, one exact
+    pair rotation per flip mask in ascending mask order (see
+    ``_trotter_slice``), applies that slice ``trotter_steps`` times, and
+    returns the normalized state with the step record.  The state must be
+    real and the Hamiltonian real symmetric; anything else raises ValueError.
     """
     _check_pool_state(state, pool)
     amps, records = step_rows(

@@ -13,6 +13,7 @@ from thirringsim.checks import (
     check_multiply_vs_dense,
     check_number_sector_preserved,
     check_transpose_sum_vs_dense,
+    check_walsh_coefficients_vs_design,
 )
 
 
@@ -410,6 +411,17 @@ class TestValidateCommand:
         swapped[37, [3, 4]] = swapped[37, [4, 3]]
         monkeypatch.setattr(qite, "_gram_plan", lambda _pool: (swapped, gens))
         assert not check_design_spectrum().passed
+
+    def test_corrupted_walsh_plan_is_caught(self, monkeypatch, capsys):
+        xor, hadamard, cells, signs = qite._walsh_plan(qite.make_pool(qite.ODD_Y, 4))
+        assert check_walsh_coefficients_vs_design().passed
+        flipped = signs.copy()
+        flipped[37] *= -1  # one string's sign sigma_j
+        monkeypatch.setattr(qite, "_walsh_plan", lambda _pool: (xor, hadamard, cells, flipped))
+        result = check_walsh_coefficients_vs_design()
+        assert not result.passed and "largest |a - 2 A^T w" in result.detail
+        assert cli.main(["validate"]) == 1
+        assert "walsh_coefficients_vs_design  FAIL" in capsys.readouterr().out
 
     def test_corrupted_table_is_caught(self, monkeypatch):
         bad = pauli.SiteTables(

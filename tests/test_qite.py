@@ -363,14 +363,13 @@ class TestTrotterSlice:
     def test_strings_sharing_a_flip_mask_commute(self, n):
         # why one pair rotation per flip mask is the exact product of the group's rotations
         pool = qite.make_pool(qite.ODD_Y, n)
-        members, group_perms = qite._flip_plan(pool)
-        assert members.shape == (2**n - 1, 2 ** (n - 1))
-        assert sorted(members.ravel()) == list(range(pool.size))
-        for f, group, perm in zip(range(1, 2**n), members, group_perms):
-            strings = [pool.strings[j] for j in group]
+        xor, _, cells, _ = qite._walsh_plan(pool)
+        flips = cells // 2**n
+        for f in range(1, 2**n):
+            strings = [pool.strings[j] for j in np.flatnonzero(flips == f)]
+            assert len(strings) == 2 ** (n - 1)
             assert [flip_mask(s) for s in strings] == [f] * len(strings)
-            assert list(group) == sorted(group)
-            assert np.array_equal(perm, np.arange(2**n) ^ f)
+            assert np.array_equal(xor[f], np.arange(2**n) ^ f)
             for i, p1 in enumerate(strings):
                 for p2 in strings[i + 1:]:
                     assert pauli.minus_i_commutator(p1, p2).terms == {}
@@ -432,12 +431,12 @@ class TestStepRows:
             )
 
     def test_six_site_rows_are_bitwise_the_rows_stepped_alone(self):
-        # 2 rows per pass at N = 6, so the five rows run as passes of 2, 2 and 1
+        # 64 rows per pass at N = 6, so the 65 rows run as passes of 64 and 1
         rng = np.random.default_rng(65)
         pool = qite.make_pool(qite.ODD_Y, 6)
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 6, 0.5, 1.0)).hamiltonian
-        amps = np.concatenate([rng.standard_normal((3, 64)), np.eye(64)[[3, 21]]])
-        amps[:3] /= np.linalg.norm(amps[:3], axis=1, keepdims=True)
+        amps = np.concatenate([rng.standard_normal((63, 64)), np.eye(64)[[3, 21]]])
+        amps[:63] /= np.linalg.norm(amps[:63], axis=1, keepdims=True)
         new, records = qite.step_rows(amps, ham, 0.25, pool, qite.DEFAULT_TROTTER_STEPS,
                                       qite.DEFAULT_THRESHOLD, qite.C_EXPONENTIAL)
         for row, record in enumerate(records):
@@ -471,6 +470,58 @@ class TestStepRows:
             qite.DEFAULT_SVD_CUTOFF,
         )
         assert np.linalg.norm(record.a - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestWalshPlan:
+    """The pool's (flip, phase) layout: one Hadamard product gives every coefficient and angle."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_plan_reproduces_the_gram_plan(self, n):
+        pool = qite.make_pool(qite.ODD_Y, n)
+        perms, gens = qite._gram_plan(pool)
+        xor, hadamard, cells, signs = qite._walsh_plan(pool)
+        flips, phases = np.divmod(cells, 2**n)
+        assert np.array_equal(perms, xor[flips])
+        assert np.array_equal(gens, signs[:, None] * hadamard[phases])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cells_are_exactly_those_of_odd_y_strings(self, n):
+        # no cell with f = 0 or f.z even is ever read, so none can be kept
+        _, _, cells, _ = qite._walsh_plan(qite.make_pool(qite.ODD_Y, n))
+        flips, phases = np.divmod(np.arange(4**n), 2**n)
+        odd = [f != 0 and bin(f & z).count("1") % 2 == 1 for f, z in zip(flips, phases)]
+        assert np.array_equal(np.sort(cells), np.flatnonzero(odd))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_coefficients_match_the_gather(self, n):
+        rng = np.random.default_rng(66 + n)
+        pool = qite.make_pool(qite.ODD_Y, n)
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, n, 0.5, 1.0)).hamiltonian
+        amps = np.concatenate([rng.standard_normal((3, 2**n)), np.eye(2**n)[[3]]])
+        _, records = qite.step_rows(amps, ham, 0.25, pool, 1, 0.0, qite.C_EXPONENTIAL)
+        perms, gens = qite._gram_plan(pool)
+        for phi, w, record in zip(amps, -amps @ to_matrix(ham).real.T, records):
+            want = np.sum(phi[perms] * gens * w, axis=1) * (2.0 / (2**n * (phi @ phi)))
+            assert np.max(np.abs(record.a - want)) < 1e-12
+
+    @pytest.mark.parametrize("c_mode", qite.C_MODES)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_a_step_that_keeps_no_term_builds_every_plan(self, n, c_mode):
+        # a set-up step from basis state 0 leaves no plan for a later step to build
+        pool = qite.make_pool(qite.ODD_Y, n)
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, n, 0.5, 1.0)).hamiltonian
+        caches = [f for f in vars(qite).values() if hasattr(f, "cache_clear")]
+        caches = [f for f in caches if f is not qite.make_pool] + [oracle._spectral_cached]
+        assert qite._walsh_plan in caches and qite._rhs_plan in caches
+        for f in caches:
+            f.cache_clear()
+        _, record = qite.step(sv.basis_state(0, n), ham, 0.25, pool, c_mode=c_mode)
+        assert record.kept_terms == 0
+        misses = [f.cache_info().misses for f in caches]
+        state = sv.random_real_state(n, np.random.default_rng(67))
+        _, record = qite.step(state, ham, 0.25, pool, c_mode=c_mode)
+        assert record.kept_terms > 0
+        assert [f.cache_info().misses for f in caches] == misses
 
 
 class TestTrajectory:
