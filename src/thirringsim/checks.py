@@ -3,6 +3,9 @@
 Every check returns quickly, uses fixed seeds, and verifies one structural
 fact against an independent dense-matrix or spectral computation.  All of
 them re-read the live site tables, so a corrupted table is caught here.
+The Pauli-algebra checks call the reduction under test once per pair; their
+dense referee is built from Kronecker products only, in one batch per site
+count, and shares no code with the statevector or the step.
 """
 from __future__ import annotations
 
@@ -22,9 +25,9 @@ class CheckResult:
 
 
 def _random_pairs(rng, sizes=(2, 3, 4), per_size=70):
-    for n in sizes:
-        for _ in range(per_size):
-            yield pauli.random_string(n, rng), pauli.random_string(n, rng)
+    """``per_size`` random string pairs for each site count, all their letters in one draw."""
+    return [(pauli.PauliString(tuple(a)), pauli.PauliString(tuple(b)))
+            for n in sizes for a, b in rng.integers(0, 4, size=(per_size, 2, n)).tolist()]
 
 
 def check_site_tables() -> CheckResult:
@@ -36,18 +39,39 @@ def check_site_tables() -> CheckResult:
 
 
 def _dense_check(name, pairs, reduction, dense, detail) -> CheckResult:
-    """Exact comparison of ``reduction(p1, p2)`` with ``dense(m1, m2)`` of the strings' matrices."""
-    for p1, p2 in pairs:
-        got = pauli.to_matrix(reduction(p1, p2), n_sites=p1.n_sites)
-        if not np.array_equal(got, dense(pauli.to_matrix(p1), pauli.to_matrix(p2))):
-            return CheckResult(name, False, f"mismatch for ({p1}, {p2})")
+    """Exact comparison of ``reduction(p1, p2)`` with ``dense(m1, m2)`` of the strings' matrices.
+
+    Per site count n, the dense matrices of all 4^n strings come from one
+    batch of Kronecker products, ``dense`` takes every pair's matrices as
+    (pairs, 2^n, 2^n) stacks, and each result is the sum of its terms'
+    matrices.  A failure names the first failing pair in list order.
+    """
+    failed = []
+    for n in sorted({p1.n_sites for p1, _ in pairs}):
+        slots = [k for k, (p1, _) in enumerate(pairs) if p1.n_sites == n]
+        digits = 4 ** np.arange(n)
+        every = pauli.string_matrices(np.arange(4**n)[:, None] // digits % 4)
+        letters = np.array([pairs[k][0].letters + pairs[k][1].letters for k in slots])
+        index = letters.reshape(len(slots), 2, n) @ digits
+        want = dense(every[index[:, 0]], every[index[:, 1]])
+        got = np.zeros_like(want)
+        for slot, k in enumerate(slots):
+            result = reduction(*pairs[k])
+            if isinstance(result, pauli.PhasedString):
+                result = pauli.PauliSum(n, {result.string.packed_index: result.phase})
+            for j, c in result.terms.items():
+                got[slot] += c * every[j]
+        failed += [k for k, ok in zip(slots, np.all(got == want, axis=(1, 2))) if not ok]
+    if failed:
+        p1, p2 = pairs[min(failed)]
+        return CheckResult(name, False, f"mismatch for ({p1}, {p2})")
     return CheckResult(name, True, f"{len(pairs)} {detail}")
 
 
 def check_multiply_vs_dense() -> CheckResult:
     rng = np.random.default_rng(11)
     singles = [pauli.PauliString((a,)) for a in range(4)]
-    pairs = [(a, b) for a in singles for b in singles] + list(_random_pairs(rng))
+    pairs = [(a, b) for a in singles for b in singles] + _random_pairs(rng)
     return _dense_check("multiply_vs_dense", pairs, pauli.multiply,
                         lambda m1, m2: m1 @ m2, "products exact")
 
@@ -55,8 +79,8 @@ def check_multiply_vs_dense() -> CheckResult:
 def check_involution() -> CheckResult:
     rng = np.random.default_rng(12)
     for n in (1, 2, 3, 4, 5):
-        for _ in range(40):
-            p = pauli.random_string(n, rng)
+        for letters in rng.integers(0, 4, size=(40, n)).tolist():
+            p = pauli.PauliString(tuple(letters))
             ph = pauli.multiply(p, p)
             if ph.phase != 1 or not ph.string.is_identity():
                 return CheckResult("involution", False, f"{p} squared is not the identity")
@@ -64,14 +88,14 @@ def check_involution() -> CheckResult:
 
 
 def check_transpose_sum_vs_dense() -> CheckResult:
-    pairs = list(_random_pairs(np.random.default_rng(13)))
+    pairs = _random_pairs(np.random.default_rng(13))
     return _dense_check("transpose_sum_vs_dense", pairs, pauli.sym_transpose_product,
-                        lambda m1, m2: (m := m1 @ m2) + m.T, "pairs exact")
+                        lambda m1, m2: (m := m1 @ m2) + m.swapaxes(1, 2), "pairs exact")
 
 
 def check_commutator_vs_dense() -> CheckResult:
     """Exact equality implies a real coefficient, since -i[P1, P2] is Hermitian."""
-    pairs = list(_random_pairs(np.random.default_rng(14)))
+    pairs = _random_pairs(np.random.default_rng(14))
     return _dense_check("commutator_vs_dense", pairs, pauli.minus_i_commutator,
                         lambda m1, m2: -1j * (m1 @ m2 - m2 @ m1), "pairs exact and Hermitian")
 
@@ -113,12 +137,14 @@ def check_walsh_coefficients_vs_design() -> CheckResult:
     rng = np.random.default_rng(18)
     ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
     pool, dense = qite.make_pool(qite.ODD_Y, 4), pauli.to_matrix(ham).real
+    states = [random_real_state(4, rng) for _ in range(5)]
+    rows = np.array([state.amplitudes.real for state in states])
+    _, records = qite.step_rows(rows, ham, 0.1, pool, qite.DEFAULT_TROTTER_STEPS, 0.0,
+                                qite.C_EXPONENTIAL)
     worst = 0.0
-    for state in [random_real_state(4, rng) for _ in range(5)]:
-        phi = state.amplitudes.real
+    for state, phi, record in zip(states, rows, records):
         want = qite._design_matrix(state, pool).T @ -(dense @ phi) * (2.0 / (16 * phi @ phi))
-        got = qite.step(state, ham, 0.1, pool, threshold=0.0)[1].a
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = max(worst, float(np.max(np.abs(record.a - want))))
     return CheckResult("walsh_coefficients_vs_design", worst < 1e-12,
                        f"largest |a - 2 A^T w / (d |phi|^2)| {worst:.3e}")
 
@@ -139,12 +165,13 @@ def check_h_action_vs_dense() -> CheckResult:
 
 
 def check_number_sector_preserved() -> CheckResult:
-    """A basis trajectory stays in its fermion-number sector up to the Trotter splitting error.
+    """A basis trajectory stays in its fermion-number sector to rounding.
 
     H conserves the fermion number N/2 + sum_n Z(n)/2, which on basis index
     i is N minus the count of one bits of i.  The leak is the probability on
-    indices with another bit count: 1.3e-13 over these 20 steps, so the
-    bound leaves a factor 1e5 for rounding, and a step that mixes sectors fails.
+    indices with another bit count.  Each flip-mask group of the Trotter
+    slice is one exact pair rotation, so the leak stays at rounding (about
+    1e-34 over these 20 steps); a step that mixes sectors fails the 1e-20 bound.
     """
     ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
     pool = qite.make_pool(qite.ODD_Y, 4)
@@ -154,7 +181,7 @@ def check_number_sector_preserved() -> CheckResult:
     for _ in range(20):
         state, _ = qite.step(state, ham, 0.25, pool)
         worst = max(worst, float(np.sum(np.abs(state.amplitudes[other_sector]) ** 2)))
-    ok = worst < 1e-8
+    ok = worst < 1e-20
     return CheckResult("number_sector_preserved", ok,
                        f"max out-of-sector probability over 20 steps {worst:.3e}")
 
@@ -180,18 +207,15 @@ def check_fidelity_scaling() -> CheckResult:
     ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
     pool = qite.make_pool(qite.ODD_Y, 4)
     dbetas = [0.2, 0.1, 0.05, 0.025]
-    slopes = []
-    for _ in range(3):
-        state = random_real_state(4, rng)
-        infidelities = []
-        for dbeta in dbetas:
-            stepped, _ = qite.step(state, ham, dbeta, pool, trotter_steps=50, threshold=0.0)
-            exact, _ = oracle.exact_imaginary_time_state(ham, state, dbeta)
-            fid = abs(np.vdot(stepped.amplitudes, exact.amplitudes)) ** 2
-            infidelities.append(max(1.0 - fid, 1e-16))
-        slope = np.polyfit(np.log(dbetas), np.log(infidelities), 1)[0]
-        slopes.append(float(slope))
-    worst = min(slopes)
+    states = [random_real_state(4, rng) for _ in range(3)]
+    rows = np.array([state.amplitudes.real for state in states])
+    infidelities = []  # one row per dbeta, one column per state
+    for dbeta in dbetas:
+        stepped = qite.step_rows(rows, ham, dbeta, pool, 50, 0.0, qite.C_EXPONENTIAL)[0]
+        exact = [oracle.exact_imaginary_time_state(ham, state, dbeta)[0] for state in states]
+        infidelities.append([max(1.0 - abs(np.vdot(new.astype(complex), e.amplitudes)) ** 2, 1e-16)
+                             for new, e in zip(stepped, exact)])
+    worst = float(min(np.polyfit(np.log(dbetas), np.log(infidelities), 1)[0]))
     ok = worst >= 1.9
     return CheckResult("fidelity_scaling", ok, f"smallest fitted exponent {worst:.2f}")
 

@@ -19,14 +19,15 @@ import numpy as np
 
 I, X, Y, Z = 0, 1, 2, 3
 LETTER_NAMES = "IXYZ"
+_LETTERS = frozenset(range(4))
 
 # Single-site matrices, site-to-bit convention: |0> is the Z = +1 eigenstate.
-_SITE_MATRICES = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_SITE_MATRICES = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
 
 COEFF_PRUNE_TOL = 1e-14
 MATRIX_SITE_CAP = 10
@@ -91,7 +92,7 @@ class PauliString:
     def __post_init__(self):
         if len(self.letters) == 0:
             raise ValueError("a Pauli string needs at least one site")
-        if any(not 0 <= l <= 3 for l in self.letters):
+        if not _LETTERS.issuperset(self.letters):
             raise ValueError(f"invalid letters {self.letters}")
 
     @property
@@ -295,11 +296,25 @@ def minus_i_commutator(p1: PauliString, p2: PauliString) -> PauliSum:
     return PauliSum(p1.n_sites, {ph.string.packed_index: -2j * ph.phase})
 
 
-def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of a string, phased string, or sum.
+def string_matrices(letters) -> np.ndarray:
+    """Dense matrices of a batch of strings: an (S, N) letter array gives (S, 2^N, 2^N).
 
     Site n maps to bit n of the basis index, so the Kronecker factors are
     ordered from site N-1 down to site 0.
+    """
+    factors = _SITE_MATRICES[np.asarray(letters)]  # (S, N, 2, 2)
+    m = np.ones((len(factors), 1, 1), dtype=complex)
+    for site in reversed(range(factors.shape[1])):
+        # each site's row and column bit goes below those of the sites before it
+        f = factors[:, site, None, :, None, :]
+        m = (m[:, :, None, :, None] * f).reshape(len(m), 2 * m.shape[1], -1)
+    return m
+
+
+def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -> np.ndarray:
+    """Dense 2^N x 2^N matrix of a string, phased string, or sum (see ``string_matrices``).
+
+    A sum adds its terms' matrices one at a time in ascending packed order.
     """
     if isinstance(op, PhasedString):
         return op.phase * to_matrix(op.string, n_sites, site_cap)
@@ -310,12 +325,7 @@ def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -
             raise ValueError(
                 f"refusing to build a dense matrix on {op.n_sites} sites (cap {site_cap})"
             )
-        m = np.array(1.0 + 0j)
-        for site in reversed(range(op.n_sites)):
-            m = np.multiply.outer(m, _SITE_MATRICES[op.letters[site]])
-        # the Kronecker chain's products, axes (row bit, column bit) per site: rows first
-        n = op.n_sites
-        return m.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(2**n, 2**n)
+        return string_matrices([op.letters])[0]
     if isinstance(op, PauliSum):
         if op.n_sites > site_cap:
             raise ValueError(
@@ -327,11 +337,3 @@ def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -
             m += c * to_matrix(ps, site_cap=site_cap)
         return m
     raise TypeError(f"cannot convert {type(op).__name__} to a matrix")
-
-
-def random_string(n_sites: int, rng: np.random.Generator, allow_identity: bool = True) -> PauliString:
-    """Uniformly random Pauli string, used by the validation suite and tests."""
-    while True:
-        ps = PauliString(tuple(int(l) for l in rng.integers(0, 4, size=n_sites)))
-        if allow_identity or not ps.is_identity():
-            return ps

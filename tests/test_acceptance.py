@@ -13,6 +13,8 @@ from thirringsim import cli, model, oracle, pauli, qite, thermal
 from thirringsim import statevector as sv
 from thirringsim.pauli import PauliString, to_matrix
 
+from helpers import random_string
+
 G2_GRIDS = {
     model.EUCLIDEAN: [round(0.1 * i, 12) for i in range(31)],
     model.MINKOWSKI: [round(0.2 * i, 12) for i in range(26)],
@@ -38,7 +40,7 @@ def test_a1_algebra_oracle():
     ]
     for n in (2, 3, 4, 5):
         for _ in range(250):
-            pairs.append((pauli.random_string(n, rng), pauli.random_string(n, rng)))
+            pairs.append((random_string(n, rng), random_string(n, rng)))
     assert len(pairs) >= 1016
     for p1, p2 in pairs:
         n = p1.n_sites

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from thirringsim import cli, model, pauli, qite, thermal
+from thirringsim import checks, cli, model, pauli, qite, thermal
 from thirringsim import statevector as sv
 from thirringsim.checks import (
     check_commutator_vs_dense,
@@ -15,6 +15,8 @@ from thirringsim.checks import (
     check_transpose_sum_vs_dense,
     check_walsh_coefficients_vs_design,
 )
+
+from helpers import random_string
 
 
 def tiny_config(**overrides):
@@ -451,6 +453,46 @@ class TestValidateCommand:
 
         monkeypatch.setattr(pauli, name, rotated)
         assert not check().passed
+
+    @pytest.mark.parametrize("seed", [11, 13, 14])
+    def test_random_pairs_are_the_per_string_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        want = [(random_string(n, rng), random_string(n, rng)) for n in (2, 3, 4) for _ in range(70)]
+        assert checks._random_pairs(np.random.default_rng(seed)) == want
+
+    @pytest.mark.parametrize("name, check, pairs", [
+        ("multiply", check_multiply_vs_dense,
+         lambda: [(pauli.PauliString((a,)), pauli.PauliString((b,))) for a in range(4)
+                  for b in range(4)] + checks._random_pairs(np.random.default_rng(11))),
+        ("sym_transpose_product", check_transpose_sum_vs_dense,
+         lambda: checks._random_pairs(np.random.default_rng(13))),
+        ("minus_i_commutator", check_commutator_vs_dense,
+         lambda: checks._random_pairs(np.random.default_rng(14))),
+    ])
+    def test_one_corrupted_pair_is_named(self, name, check, pairs, monkeypatch):
+        pairs = pairs()
+        reduction = getattr(pauli, name)
+        # the 100th and 181st pairs, of two site counts and each unique in the list, so only
+        # their results are wrong; the first failing pair in list order is named
+        targets = [pairs[99], pairs[180]]
+        assert all(pairs.count(pair) == 1 for pair in targets)
+        assert targets[0][0].n_sites != targets[1][0].n_sites
+
+        def corrupted(p1, p2):
+            result = reduction(p1, p2)
+            if (p1, p2) not in targets:
+                return result
+            if isinstance(result, pauli.PhasedString):
+                return pauli.PhasedString(-result.phase, result.string)
+            return result + pauli.PauliSum(p1.n_sites, {0: 1.0})
+
+        monkeypatch.setattr(pauli, name, corrupted)
+        result = check()
+        p1, p2 = targets[0]
+        assert not result.passed and result.detail == f"mismatch for ({p1}, {p2})"
+        targets.pop(0)  # now only the 181st is wrong
+        p1, p2 = targets[0]
+        assert check().detail == f"mismatch for ({p1}, {p2})"
 
     def test_corrupted_hamiltonian_plan_is_caught(self, monkeypatch):
         assert check_h_action_vs_dense().passed

@@ -17,6 +17,8 @@ from thirringsim.pauli import (
     unpack,
 )
 
+from helpers import random_string
+
 
 def S(label):
     return PauliString.from_label(label)
@@ -66,7 +68,7 @@ class TestMultiply:
         rng = np.random.default_rng(1)
         for n in (1, 3, 5):
             for _ in range(50):
-                p = pauli.random_string(n, rng)
+                p = random_string(n, rng)
                 out = multiply(p, p)
                 assert out.phase == 1 and out.string.is_identity()
 
@@ -89,7 +91,7 @@ class TestMultiply:
         rng = np.random.default_rng(2)
         for n in (2, 3, 4, 5):
             for _ in range(40):
-                p1, p2 = pauli.random_string(n, rng), pauli.random_string(n, rng)
+                p1, p2 = random_string(n, rng), random_string(n, rng)
                 got = to_matrix(multiply(p1, p2))
                 assert np.array_equal(got, to_matrix(p1) @ to_matrix(p2))
 
@@ -97,7 +99,7 @@ class TestMultiply:
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(1, 5))
-            a, b, c = (pauli.random_string(n, rng) for _ in range(3))
+            a, b, c = (random_string(n, rng) for _ in range(3))
             ab = multiply(a, b)
             left = multiply(ab.string, c)
             left_phase = ab.phase * left.phase
@@ -110,7 +112,7 @@ class TestMultiply:
         rng = np.random.default_rng(4)
         for _ in range(200):
             n = int(rng.integers(1, 5))
-            p1, p2 = pauli.random_string(n, rng), pauli.random_string(n, rng)
+            p1, p2 = random_string(n, rng), random_string(n, rng)
             m1, m2 = to_matrix(p1), to_matrix(p2)
             commute = np.array_equal(m1 @ m2, m2 @ m1)
             phase = multiply(p1, p2).phase
@@ -141,7 +143,7 @@ class TestTransposeSum:
         rng = np.random.default_rng(5)
         for n in (2, 3, 4, 5):
             for _ in range(40):
-                p1, p2 = pauli.random_string(n, rng), pauli.random_string(n, rng)
+                p1, p2 = random_string(n, rng), random_string(n, rng)
                 m = to_matrix(p1) @ to_matrix(p2)
                 got = to_matrix(sym_transpose_product(p1, p2), n_sites=n)
                 assert np.max(np.abs(got - (m + m.T))) == 0
@@ -160,7 +162,7 @@ class TestMinusICommutator:
         rng = np.random.default_rng(6)
         for n in (2, 3, 4, 5):
             for _ in range(40):
-                p1, p2 = pauli.random_string(n, rng), pauli.random_string(n, rng)
+                p1, p2 = random_string(n, rng), random_string(n, rng)
                 m1, m2 = to_matrix(p1), to_matrix(p2)
                 result = minus_i_commutator(p1, p2)
                 got = to_matrix(result, n_sites=n)
@@ -206,6 +208,14 @@ class TestAgainstDenseProperties:
             want = np.kron(want, pauli._SITE_MATRICES[p.letters[site]])
         got = to_matrix(p)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_batch_of_every_string_is_bitwise_each_to_matrix(self, n):
+        letters = [unpack(j, n) for j in range(4**n)]
+        batch = pauli.string_matrices(letters)
+        assert batch.shape == (4**n, 2**n, 2**n)
+        for got, p in zip(batch, letters):
+            assert got.tobytes() == to_matrix(PauliString(p)).tobytes()
 
     @given(string_pairs)
     def test_products_equal_dense_products(self, pair):

@@ -8,12 +8,14 @@ from thirringsim import model, oracle, pauli, qite, thermal
 from thirringsim import statevector as sv
 from thirringsim.pauli import PauliString, PauliSum, to_matrix
 
+from helpers import random_string
+
 
 def random_real_symmetric_sum(n, rng, n_terms=6):
     """Random Hermitian sum whose dense matrix is real (even-Y strings only)."""
     terms = {}
     while len(terms) < n_terms:
-        p = pauli.random_string(n, rng)
+        p = random_string(n, rng)
         if p.y_count() % 2 == 0:
             terms[p.packed_index] = float(rng.normal())
     return PauliSum(n, terms)
@@ -447,6 +449,20 @@ class TestStepRows:
             assert (record.c_step, record.energy, record.residual) == (
                 own.c_step, own.energy, own.residual
             )
+
+    @pytest.mark.parametrize("g2", [0.5, 1.9, 3.0])
+    def test_basis_rows_stay_in_their_fermion_number_sector(self, g2, pool4):
+        # H conserves the count of one bits, and each flip-mask group of the slice is one exact
+        # pair rotation, so the out-of-sector probability of every basis row stays at rounding
+        ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, g2)).hamiltonian
+        ones = np.array([bin(i).count("1") for i in range(16)])
+        other_sector = ones[:, None] != ones[None, :]
+        rows, worst = np.eye(16), 0.0
+        for _ in range(20):
+            rows, _ = qite.step_rows(rows, ham, 0.25, pool4, qite.DEFAULT_TROTTER_STEPS,
+                                     qite.DEFAULT_THRESHOLD, qite.C_EXPONENTIAL)
+            worst = max(worst, np.max(np.sum(rows**2, axis=1, where=other_sector)))
+        assert worst < 1e-20
 
     def test_no_least_squares_solve(self, pool4, monkeypatch):
         def refuse(*args, **kwargs):

@@ -8,6 +8,8 @@ from thirringsim import model, pauli
 from thirringsim import statevector as sv
 from thirringsim.pauli import PauliString, PauliSum, to_matrix
 
+from helpers import random_string
+
 # chi-square critical value for 15 degrees of freedom at p = 0.001
 CHI2_15_P001 = 37.6973
 
@@ -84,7 +86,7 @@ class TestApply:
         rng = np.random.default_rng(1)
         for n in (1, 2, 4):
             for _ in range(25):
-                p = pauli.random_string(n, rng)
+                p = random_string(n, rng)
                 state = random_state(n, rng)
                 got = sv.apply_string(state, p).amplitudes
                 want = to_matrix(p) @ state.amplitudes
@@ -99,7 +101,7 @@ class TestRotation:
     def test_zero_angle(self):
         rng = np.random.default_rng(3)
         state = random_state(3, rng)
-        out = sv.apply_rotation(state, pauli.random_string(3, rng), 0.0)
+        out = sv.apply_rotation(state, random_string(3, rng), 0.0)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) == 0
 
     def test_eigenstate_global_phase(self):
@@ -110,7 +112,7 @@ class TestRotation:
         rng = np.random.default_rng(4)
         for _ in range(30):
             n = int(rng.integers(1, 5))
-            p = pauli.random_string(n, rng)
+            p = random_string(n, rng)
             theta = float(rng.uniform(-3, 3))
             state = random_state(n, rng)
             got = sv.apply_rotation(state, p, theta).amplitudes
@@ -124,7 +126,7 @@ class TestRotation:
         state = init
         u = np.eye(2**n, dtype=complex)
         for _ in range(12):
-            p = pauli.random_string(n, rng)
+            p = random_string(n, rng)
             theta = float(rng.uniform(-1, 1))
             state = sv.apply_rotation(state, p, theta)
             u = (np.cos(theta) * np.eye(2**n) - 1j * np.sin(theta) * to_matrix(p)) @ u
@@ -140,7 +142,7 @@ class TestRotation:
         phases = (1, -1, 1j, -1j)
         state = random_state(4, rng)
         for i in range(10_000):
-            p = pauli.random_string(4, rng)
+            p = random_string(4, rng)
             if i % 3:
                 state = sv.apply_rotation(state, p, float(rng.uniform(-1, 1)))
             else:
@@ -151,7 +153,7 @@ class TestRotation:
         rng = np.random.default_rng(7)
         state = sv.random_real_state(4, rng)
         for _ in range(200):
-            p = pauli.random_string(4, rng)
+            p = random_string(4, rng)
             if p.y_count() % 2 == 0:
                 continue
             state = sv.apply_rotation(state, p, float(rng.uniform(-1, 1)))
@@ -189,7 +191,7 @@ class TestBatchedExpectation:
         off_diagonal[int(rng.integers(0, n))] = pauli.X
         terms = {pauli.pack(tuple(off_diagonal)): float(rng.normal())}
         for _ in range(5):
-            terms[pauli.random_string(n, rng).packed_index] = float(rng.normal())
+            terms[random_string(n, rng).packed_index] = float(rng.normal())
         op = PauliSum(n, terms)
         states = rng.standard_normal((int(rng.integers(1, 8)), 2**n))
         states /= np.linalg.norm(states, axis=1, keepdims=True)
