@@ -457,7 +457,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("seed", [11, 13, 14])
     def test_random_pairs_are_the_per_string_draws(self, seed):
         rng = np.random.default_rng(seed)
-        want = [(random_string(n, rng), random_string(n, rng)) for n in (2, 3, 4) for _ in range(70)]
+        want = [(random_string(n, rng), random_string(n, rng))
+                for n in (2, 3, 4) for _ in range(70)]
         assert checks._random_pairs(np.random.default_rng(seed)) == want
 
     @pytest.mark.parametrize("name, check, pairs", [
