@@ -27,6 +27,6 @@ from .pauli import (  # noqa: F401
     sym_transpose_product,
     to_matrix,
 )
-from .qite import OperatorPool, StepRecord, Trajectory, run_trajectory, step  # noqa: F401
+from .qite import OperatorPool, StepRecord, Trajectories, run_trajectory, step  # noqa: F401
 from .statevector import QuantumState, ShotCounts, basis_state, expectation  # noqa: F401
 from .thermal import ThermalTable, qmetts_average, stochastic_trace_average  # noqa: F401

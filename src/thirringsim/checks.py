@@ -139,12 +139,12 @@ def check_walsh_coefficients_vs_design() -> CheckResult:
     pool, dense = qite.make_pool(qite.ODD_Y, 4), pauli.to_matrix(ham).real
     states = [random_real_state(4, rng) for _ in range(5)]
     rows = np.array([state.amplitudes.real for state in states])
-    _, records = qite.step_rows(rows, ham, 0.1, pool, qite.DEFAULT_TROTTER_STEPS, 0.0,
-                                qite.C_EXPONENTIAL)
+    _, record = qite.step_rows(rows, ham, 0.1, pool, qite.DEFAULT_TROTTER_STEPS, 0.0,
+                               qite.C_EXPONENTIAL)
     worst = 0.0
-    for state, phi, record in zip(states, rows, records):
+    for state, phi, a in zip(states, rows, record.a):
         want = qite._design_matrix(state, pool).T @ -(dense @ phi) * (2.0 / (16 * phi @ phi))
-        worst = max(worst, float(np.max(np.abs(record.a - want))))
+        worst = max(worst, float(np.max(np.abs(a - want))))
     return CheckResult("walsh_coefficients_vs_design", worst < 1e-12,
                        f"largest |a - 2 A^T w / (d |phi|^2)| {worst:.3e}")
 

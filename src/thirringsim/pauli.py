@@ -318,22 +318,16 @@ def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -
     """
     if isinstance(op, PhasedString):
         return op.phase * to_matrix(op.string, n_sites, site_cap)
+    if not isinstance(op, (PauliString, PauliSum)):
+        raise TypeError(f"cannot convert {type(op).__name__} to a matrix")
+    if n_sites is not None and n_sites != op.n_sites:
+        raise ValueError(f"n_sites {n_sites} disagrees with the operator's {op.n_sites} sites")
+    if op.n_sites > site_cap:
+        raise ValueError(f"refusing to build a dense matrix on {op.n_sites} sites (cap {site_cap})")
     if isinstance(op, PauliString):
-        if n_sites is not None and n_sites != op.n_sites:
-            raise ValueError("n_sites disagrees with the string length")
-        if op.n_sites > site_cap:
-            raise ValueError(
-                f"refusing to build a dense matrix on {op.n_sites} sites (cap {site_cap})"
-            )
         return string_matrices([op.letters])[0]
-    if isinstance(op, PauliSum):
-        if op.n_sites > site_cap:
-            raise ValueError(
-                f"refusing to build a dense matrix on {op.n_sites} sites (cap {site_cap})"
-            )
-        dim = 2**op.n_sites
-        m = np.zeros((dim, dim), dtype=complex)
-        for ps, c in op.items():
-            m += c * to_matrix(ps, site_cap=site_cap)
-        return m
-    raise TypeError(f"cannot convert {type(op).__name__} to a matrix")
+    dim = 2**op.n_sites
+    m = np.zeros((dim, dim), dtype=complex)
+    for ps, c in op.items():
+        m += c * to_matrix(ps, site_cap=site_cap)
+    return m

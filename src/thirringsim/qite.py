@@ -22,10 +22,11 @@ ascending mask order.  Odd-Y strings with the same mask commute, so each
 group's product is exactly one rotation within the basis pairs (i, i^mask),
 and every group's angles are again one product with the Hadamard matrix: a
 slice has 2^N - 1 factors, not one per kept string.  ``step_rows`` steps
-a batch of states, each row bitwise as ``step`` steps it alone.  Chaining
-steps from a basis state yields a trajectory whose running product of step
-weights is the state's contribution to the thermal trace; ``measure`` then
-evaluates every observable on the trajectory's stored states.
+a batch of states, each row bitwise as ``step`` steps it alone.  Chained
+steps from B start states form ``Trajectories``, (B, K) arrays whose
+running product of step weights is each state's contribution to the
+thermal trace; ``measure`` then evaluates every observable on all the
+stored states at once.
 
 The pool's (flip, phase) layout and the Hamiltonian's perms and signs are
 cached, so H|phi> is one fancy index and a group's rotation is one row
@@ -129,34 +130,57 @@ def make_pool(kind: str, n_sites: int) -> OperatorPool:
 class StepRecord:
     """Solved coefficients and bookkeeping of one imaginary-time step.
 
+    ``step`` returns scalars and the (pool,) coefficients of its state; ``step_rows``
+    returns one record of arrays over its B rows, ``a`` (B, pool) and the others (B,).
     ``residual`` is the McLachlan residual ||A a - w|| before thresholding.
     For the complete pool it is |E| / ||phi||, with E = <phi|H|phi> the
     ``energy``: no antisymmetric generator produces the -E|phi> part of w.
     """
 
     a: np.ndarray
-    c_step: float
-    energy: float
-    kept_terms: int
-    residual: float
+    c_step: float | np.ndarray
+    energy: float | np.ndarray
+    kept_terms: int | np.ndarray
+    residual: float | np.ndarray
 
 
 @dataclass
-class Trajectory:
-    """K chained steps from one initial state.
+class Trajectories:
+    """B trajectories of K chained steps each, as arrays.
 
-    ``states[k-1]`` is the state after step k, at inverse temperature
-    beta = 2*k*dbeta, in a real (K, 2^N) array;
-    ``cumulative_weights[k-1]`` is the product of the first k step weights;
-    ``observables[name][k-1]`` is the value measured on ``states[k-1]``.
+    ``labels[b]`` names trajectory b (shots derive their seeds from it);
+    ``states[b, k-1]`` is its state after step k, at inverse temperature
+    beta = 2*k*dbeta, in a real (B, K, 2^N) array; ``weights[b, k-1]`` is
+    the product of its first k step weights; ``energy[b, k-1]`` and
+    ``kept_terms[b, k-1]`` are step k's record of its input state.
+    ``measure`` fills ``observables[name]``, the (B, K) values measured on
+    the states, and in shots mode ``observable_variances[name]``, the
+    (B, K) variances of those shot means; exact mode leaves it empty.
     """
 
-    initial_index: int
-    records: list[StepRecord]
-    cumulative_weights: list[float]
+    labels: np.ndarray
     states: np.ndarray
-    observables: dict[str, list[float]] = field(default_factory=dict)
-    observable_variances: dict[str, list[float]] = field(default_factory=dict)
+    weights: np.ndarray
+    energy: np.ndarray
+    kept_terms: np.ndarray
+    observables: dict[str, np.ndarray] = field(default_factory=dict)
+    observable_variances: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def from_steps(cls, labels, rows: list[np.ndarray], records: list[StepRecord]):
+        """The trajectories whose step k gave ``rows[k-1]`` (B, 2^N) and ``records[k-1]``."""
+        return cls(
+            np.asarray(labels), np.stack(rows, axis=1),
+            np.cumprod(np.column_stack([r.c_step for r in records]), axis=1),
+            np.column_stack([r.energy for r in records]),
+            np.column_stack([r.kept_terms for r in records]),
+        )
+
+    @classmethod
+    def concatenate(cls, parts: list["Trajectories"]):
+        """The unmeasured trajectories of ``parts``, in order, as one batch."""
+        names = ("labels", "states", "weights", "energy", "kept_terms")
+        return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in names))
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +335,19 @@ def _trotter_slice(pool: OperatorPool, angles: np.ndarray) -> np.ndarray:
 
 
 def _c_step_values(phi: np.ndarray, ham: PauliSum, dbeta: float, energy: np.ndarray,
-                   c_mode: str) -> list[float]:
-    if c_mode == C_EXPONENTIAL:
-        return [math.exp(-2.0 * dbeta * e) for e in energy.tolist()]
+                   c_mode: str) -> np.ndarray:
+    if c_mode == C_EXPONENTIAL:  # math.exp per value: np.exp need not round the same way
+        return np.array([math.exp(-2.0 * dbeta * e) for e in energy.tolist()])
     if c_mode == C_EXACT_NORM:
         sd = oracle.spectral(ham)  # ||e^{-dbeta H} phi||^2 = sum_k e^{-2 dbeta l_k} <v_k|phi>^2
         overlaps = np.sum(phi[:, :, None] * sd.eigenvectors, axis=1)
-        return np.sum(np.exp(-2.0 * dbeta * sd.eigenvalues) * overlaps**2, axis=1).tolist()
+        return np.sum(np.exp(-2.0 * dbeta * sd.eigenvalues) * overlaps**2, axis=1)
     raise ValueError(f"unknown c_mode {c_mode!r}; expected one of {C_MODES}")
 
 
 def step_rows(amps: np.ndarray, ham: PauliSum, dbeta: float, pool: OperatorPool, trotter_steps: int,
-              threshold: float, c_mode: str) -> tuple[np.ndarray, list[StepRecord]]:
-    """``step`` of each real row of a (B, 2^N) array: the new rows and one StepRecord per row.
+              threshold: float, c_mode: str) -> tuple[np.ndarray, StepRecord]:
+    """``step`` of each real row of a (B, 2^N) array: the new rows and their StepRecord of arrays.
 
     Every reduction and matrix product runs within one row, so a row's
     result does not depend on the other rows, bit for bit.
@@ -338,7 +362,7 @@ def step_rows(amps: np.ndarray, ham: PauliSum, dbeta: float, pool: OperatorPool,
     xor, hadamard, cells, signs = _walsh_plan(pool)
     # rows per pass: each (rows, 2^N, 2^N) array of the coefficients and of the slice takes
     # about 2 MB (1024 rows at N = 4, 64 at N = 6)
-    new, records, chunk = np.empty_like(amps), [], max(1, 2**21 // hadamard.nbytes)
+    new, parts, chunk = np.empty_like(amps), [], max(1, 2**21 // hadamard.nbytes)
     for lo in range(0, len(amps), chunk):
         phi = amps[lo:lo + chunk]
         h_phi = _h_action(phi, pool, ham)
@@ -355,9 +379,8 @@ def step_rows(amps: np.ndarray, ham: PauliSum, dbeta: float, pool: OperatorPool,
             u = _trotter_slice(pool, a * (dbeta / trotter_steps))
             phi = np.matmul(np.linalg.matrix_power(u, trotter_steps), phi[:, :, None])[:, :, 0]
         new[lo:lo + chunk] = phi / np.sqrt(np.sum(phi * phi, axis=1))[:, None]
-        residual = np.abs(energy) / np.sqrt(norm2)
-        records += map(StepRecord, a, c_step, energy.tolist(), kept.tolist(), residual.tolist())
-    return new, records
+        parts.append((a, c_step, energy, kept, np.abs(energy) / np.sqrt(norm2)))
+    return new, StepRecord(*map(np.concatenate, zip(*parts)))
 
 
 def step(
@@ -380,10 +403,11 @@ def step(
     real and the Hamiltonian real symmetric; anything else raises ValueError.
     """
     _check_pool_state(state, pool)
-    amps, records = step_rows(
+    amps, batch = step_rows(
         state.amplitudes.real[None], ham, dbeta, pool, trotter_steps, threshold, c_mode
     )
-    return QuantumState(state.n_sites, amps[0]), records[0]
+    a, *scalars = (field[0] for field in vars(batch).values())
+    return QuantumState(state.n_sites, amps[0]), StepRecord(a, *(x.item() for x in scalars))
 
 
 def _derived_seed(*parts: int) -> int:
@@ -391,30 +415,29 @@ def _derived_seed(*parts: int) -> int:
 
 
 def measure(
-    trajectory: Trajectory, observables: dict[str, PauliSum], mode: str = MODE_EXACT,
+    trajectories: Trajectories, observables: dict[str, PauliSum], *, mode: str = MODE_EXACT,
     shots: int = 1024, seed: int = 0,
-) -> Trajectory:
-    """The trajectory with every observable measured on its stored states.
+) -> Trajectories:
+    """The trajectories with every observable measured on all their stored states at once.
 
-    Exact mode evaluates each observable on all K states at once.  Shots
-    mode draws one batch of ``shots`` per step k, with a seed derived from
-    (seed, label, k), that serves every observable; all K at once.
+    Exact mode evaluates each observable on the (B, K, 2^N) states in one
+    call.  Shots mode draws one batch of ``shots`` per state, row b's step k
+    seeded from (seed, labels[b], k), and every observable reads that batch.
     """
-    states, label = trajectory.states, trajectory.initial_index
-    values, variances = {}, {}
+    states, values, variances = trajectories.states, {}, {}
+    _, n_steps, dim = states.shape
     if mode == MODE_SHOTS:
-        seeds = [_derived_seed(seed, label, k) for k in range(1, len(states) + 1)]
-        counts = sample_rows(states, shots, seeds)
+        seeds = [_derived_seed(seed, label, k)
+                 for label in trajectories.labels.tolist() for k in range(1, n_steps + 1)]
+        counts = sample_rows(states.reshape(-1, dim), shots, seeds).reshape(states.shape)
         for name, obs in observables.items():
-            mean, variance = diagonal_moments(counts, shots, obs)
-            values[name], variances[name] = mean.tolist(), variance.tolist()
+            values[name], variances[name] = diagonal_moments(counts, shots, obs)
     elif mode == MODE_EXACT:
         for name, obs in observables.items():
-            values[name] = expectation(states, obs).real.tolist()
-            variances[name] = [0.0] * len(states)
+            values[name] = expectation(states, obs).real
     else:
         raise ValueError(f"unknown measurement mode {mode!r}")
-    return replace(trajectory, observables=values, observable_variances=variances)
+    return replace(trajectories, observables=values, observable_variances=variances)
 
 
 def run_trajectory_from_state(
@@ -423,30 +446,24 @@ def run_trajectory_from_state(
     ham: PauliSum,
     dbeta: float,
     n_steps: int,
-    observables: dict[str, PauliSum],
     pool: OperatorPool,
-    mode: str = MODE_EXACT,
-    shots: int = 1024,
-    seed: int = 0,
+    *,
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-) -> Trajectory:
-    """Chain ``n_steps`` steps from an explicit initial state, then ``measure`` them.
+) -> Trajectories:
+    """One trajectory of ``n_steps`` ``step`` calls from an explicit initial state, unmeasured.
 
     Step k corresponds to inverse temperature beta = 2*k*dbeta.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    records: list[StepRecord] = []
-    states = []
+    rows, records = [], []
     for _ in range(n_steps):
         state, record = step(state, ham, dbeta, pool, trotter_steps, threshold, c_mode)
+        rows.append(state.amplitudes.real[None])
         records.append(record)
-        states.append(state.amplitudes.real)
-    states = np.array(states)
-    weights = np.cumprod([r.c_step for r in records]).tolist()
-    return measure(Trajectory(label, records, weights, states), observables, mode, shots, seed)
+    return Trajectories.from_steps([label], rows, records)
 
 
 def run_trajectory(
@@ -454,19 +471,15 @@ def run_trajectory(
     ham: PauliSum,
     dbeta: float,
     n_steps: int,
-    observables: dict[str, PauliSum],
     pool: OperatorPool,
-    mode: str = MODE_EXACT,
-    shots: int = 1024,
-    seed: int = 0,
+    *,
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
     threshold: float = DEFAULT_THRESHOLD,
     c_mode: str = C_EXPONENTIAL,
-) -> Trajectory:
-    """Trajectory started from the computational basis state ``initial_index``."""
+) -> Trajectories:
+    """``run_trajectory_from_state`` from the computational basis state ``initial_index``."""
     state = basis_state(initial_index, ham.n_sites)
     return run_trajectory_from_state(
-        state, initial_index, ham, dbeta, n_steps, observables, pool,
-        mode, shots, seed, trotter_steps, threshold, c_mode,
+        state, initial_index, ham, dbeta, n_steps, pool,
+        trotter_steps=trotter_steps, threshold=threshold, c_mode=c_mode,
     )
-

@@ -1,9 +1,9 @@
 """Thermal averaging over imaginary-time trajectories.
 
-One trajectory per initial state is evolved, then measured on its stored
-states, and combined at every intermediate step k into the weighted
-average sum_i C_i O_i / sum_i C_i, so a single imaginary-time pass yields
-the whole temperature grid T = 1/(2 k dbeta).
+One trajectory per initial state is evolved, the whole batch is measured
+on its stored states, and combined at every intermediate step k into the
+weighted average sum_i C_i O_i / sum_i C_i, so a single imaginary-time
+pass yields the whole temperature grid T = 1/(2 k dbeta).
 The default initial set is the complete computational basis; a random
 real-state set provides a stochastic trace estimate with standard errors.
 """
@@ -19,9 +19,8 @@ from .qite import (
     DEFAULT_THRESHOLD,
     DEFAULT_TROTTER_STEPS,
     MODE_EXACT,
-    MODE_SHOTS,
     OperatorPool,
-    Trajectory,
+    Trajectories,
     measure,
     run_trajectory,  # noqa: F401  the benchmark times basis trajectories through this name
     run_trajectory_from_state,
@@ -60,26 +59,26 @@ class ThermalTable:
 
 
 def aggregate(
-    trajectories: list[Trajectory],
-    observables: dict[str, PauliSum],
-    dbeta: float,
-    stderr_from_spread: bool = False,
-    propagate_shot_errors: bool = False,
+    trajectories: Trajectories, dbeta: float, stderr_from_spread: bool = False,
 ) -> ThermalTable:
     """Weighted averages of measured trajectories at every step.
 
-    ``qite.measure`` can measure evolved trajectories again, under any
-    sampling seed, so a new average needs no second evolution.
+    Step k reduces row k-1 of the contiguous (K, B) transposes, in
+    trajectory order; np.dot over a strided column would round differently.
+    Shot-measured trajectories report the propagated shot error; otherwise
+    ``stderr_from_spread`` reports the spread of the ratio estimator across
+    trajectories.  ``qite.measure`` can measure evolved trajectories again,
+    under any sampling seed, so a new average needs no second evolution.
     """
-    if not trajectories:
+    n, n_steps = trajectories.weights.shape
+    if n == 0:
         raise ValueError("need at least one trajectory")
-    n = len(trajectories)
-    n_steps = len(trajectories[0].cumulative_weights)
+    by_step = np.ascontiguousarray(trajectories.weights.T)
+    shot_vars = {name: np.ascontiguousarray(v.T)
+                 for name, v in trajectories.observable_variances.items()}
     rows = []
-    for name in observables:
-        for k in range(1, n_steps + 1):
-            weights = np.array([t.cumulative_weights[k - 1] for t in trajectories])
-            values = np.array([t.observables[name][k - 1] for t in trajectories])
+    for name, measured in trajectories.observables.items():
+        for k, (weights, values) in enumerate(zip(by_step, np.ascontiguousarray(measured.T)), 1):
             weight_sum = float(np.sum(weights))
             if not 0 < weight_sum < np.inf:  # also false for nan
                 raise RuntimeError(
@@ -88,26 +87,15 @@ def aggregate(
                 )
             value = float(np.dot(weights, values) / weight_sum)
             stderr = None
-            if propagate_shot_errors:
-                shot_vars = np.array([t.observable_variances[name][k - 1] for t in trajectories])
-                stderr = float(np.sqrt(np.dot(weights**2, shot_vars)) / weight_sum)
+            if name in shot_vars:
+                stderr = float(np.sqrt(np.dot(weights**2, shot_vars[name][k - 1])) / weight_sum)
             elif stderr_from_spread and n >= 2:
                 residuals = weights * values - value * weights
-                stderr = float(
-                    np.sqrt(n / (n - 1) * np.sum(residuals**2)) / weight_sum
-                )
-            rows.append(
-                ThermalRow(
-                    observable=name,
-                    k=k,
-                    beta=2.0 * k * dbeta,
-                    temperature=1.0 / (2.0 * k * dbeta),
-                    value=value,
-                    weight_sum=weight_sum,
-                    n_states=n,
-                    stderr=stderr,
-                )
-            )
+                stderr = float(np.sqrt(n / (n - 1) * np.sum(residuals**2)) / weight_sum)
+            rows.append(ThermalRow(
+                observable=name, k=k, beta=2.0 * k * dbeta, temperature=1.0 / (2.0 * k * dbeta),
+                value=value, weight_sum=weight_sum, n_states=n, stderr=stderr,
+            ))
     return ThermalTable(dbeta, n_steps, rows)
 
 
@@ -117,6 +105,7 @@ def qmetts_average(
     dbeta: float,
     n_steps: int,
     pool: OperatorPool,
+    *,
     mode: str = MODE_EXACT,
     shots: int = 1024,
     seed: int = 0,
@@ -128,24 +117,19 @@ def qmetts_average(
 
     The complete basis turns the weighted average into the exact trace
     formula up to evolution error.  All basis states are evolved as one
-    batch, and their trajectories are averaged in ascending index order, so
+    batch, measured as one batch and averaged in ascending index order, so
     the reduction is bit-stable.
     """
     dim = 2**ham.n_sites
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    amps, records = np.eye(dim), []  # row i is basis state i
-    states = np.empty((dim, n_steps, dim))
-    for k in range(n_steps):
-        amps, step_records = step_rows(amps, ham, dbeta, pool, trotter_steps, threshold, c_mode)
-        states[:, k] = amps
-        records.append(step_records)
-    trajectories = [
-        measure(Trajectory(label, list(own), np.cumprod([r.c_step for r in own]).tolist(), kept),
-                observables, mode, shots, seed)
-        for label, own, kept in zip(range(dim), zip(*records), states)
-    ]
-    return aggregate(trajectories, observables, dbeta, propagate_shot_errors=(mode == MODE_SHOTS))
+    amps, rows, records = np.eye(dim), [], []  # row i is basis state i
+    for _ in range(n_steps):
+        amps, record = step_rows(amps, ham, dbeta, pool, trotter_steps, threshold, c_mode)
+        rows.append(amps)
+        records.append(record)
+    trajectories = Trajectories.from_steps(range(dim), rows, records)
+    return aggregate(measure(trajectories, observables, mode=mode, shots=shots, seed=seed), dbeta)
 
 
 def average_over_states(
@@ -155,6 +139,7 @@ def average_over_states(
     dbeta: float,
     n_steps: int,
     pool: OperatorPool,
+    *,
     mode: str = MODE_EXACT,
     shots: int = 1024,
     seed: int = 0,
@@ -163,18 +148,22 @@ def average_over_states(
     c_mode: str = C_EXPONENTIAL,
     stderr_from_spread: bool = True,
 ) -> ThermalTable:
-    """Weighted thermal average over an explicit list of initial states."""
-    trajectories = [
+    """Weighted thermal average over an explicit list of initial states.
+
+    Each state is stepped through ``qite.step`` in turn; the trajectories
+    are then measured and averaged as one batch, labelled 0, 1, ...
+    """
+    if not states:
+        raise ValueError("need at least one initial state")
+    trajectories = Trajectories.concatenate([
         run_trajectory_from_state(
-            state, label, ham, dbeta, n_steps, observables, pool,
-            mode, shots, seed, trotter_steps, threshold, c_mode,
+            state, label, ham, dbeta, n_steps, pool,
+            trotter_steps=trotter_steps, threshold=threshold, c_mode=c_mode,
         )
         for label, state in enumerate(states)
-    ]
-    return aggregate(
-        trajectories, observables, dbeta,
-        stderr_from_spread=stderr_from_spread, propagate_shot_errors=(mode == MODE_SHOTS),
-    )
+    ])
+    measured = measure(trajectories, observables, mode=mode, shots=shots, seed=seed)
+    return aggregate(measured, dbeta, stderr_from_spread=stderr_from_spread)
 
 
 def stochastic_trace_average(
@@ -184,6 +173,7 @@ def stochastic_trace_average(
     dbeta: float,
     n_steps: int,
     pool: OperatorPool,
+    *,
     mode: str = MODE_EXACT,
     seed: int = 0,
     shots: int = 1024,
@@ -203,6 +193,6 @@ def stochastic_trace_average(
     states = [random_real_state(ham.n_sites, rng) for _ in range(n_random_states)]
     return average_over_states(
         states, ham, observables, dbeta, n_steps, pool,
-        mode, shots, seed, trotter_steps, threshold, c_mode,
-        stderr_from_spread=True,
+        mode=mode, shots=shots, seed=seed, trotter_steps=trotter_steps,
+        threshold=threshold, c_mode=c_mode, stderr_from_spread=True,
     )

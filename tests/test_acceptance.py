@@ -224,24 +224,24 @@ def test_a8_shot_statistics(tmp_path):
     # the evolution does not depend on the sampling seed: evolve the 16
     # trajectories once, predict the spread from the single-shot variances
     # propagated through the weighted average, then measure them per seed
-    trajectories = [
-        qite.run_trajectory(i, ham, 0.25, n_steps, observables, pool) for i in range(16)
-    ]
+    trajectories = qite.Trajectories.concatenate(
+        [qite.run_trajectory(i, ham, 0.25, n_steps, pool) for i in range(16)]
+    )
     predicted = {}
     for name, op in observables.items():
         for k in range(1, n_steps + 1):
-            w = np.array([t.cumulative_weights[k - 1] for t in trajectories])
-            states = [sv.QuantumState(4, t.states[k - 1]) for t in trajectories]
+            w = trajectories.weights[:, k - 1]
+            states = [sv.QuantumState(4, row) for row in trajectories.states[:, k - 1]]
             v = np.array([sv.exact_diagonal_variance(state, op) for state in states])
             predicted[(name, k)] = float(np.sqrt(np.dot(w**2, v / shots)) / np.sum(w))
 
     n_seeds = 50
     values = {key: [] for key in predicted}
     for seed in range(n_seeds):
-        measured = [
-            qite.measure(t, observables, qite.MODE_SHOTS, shots, seed) for t in trajectories
-        ]
-        table = thermal.aggregate(measured, observables, 0.25, propagate_shot_errors=True)
+        measured = qite.measure(
+            trajectories, observables, mode=qite.MODE_SHOTS, shots=shots, seed=seed
+        )
+        table = thermal.aggregate(measured, 0.25)
         if seed == 0:
             assert table == thermal.qmetts_average(
                 ham, observables, 0.25, n_steps, pool, mode=qite.MODE_SHOTS, shots=shots, seed=seed,

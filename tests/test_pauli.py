@@ -192,6 +192,12 @@ class TestToMatrix:
         with pytest.raises(ValueError):
             to_matrix(PauliString.identity(3), site_cap=2)
 
+    @pytest.mark.parametrize("op", [PauliString.identity(3), PauliSum(3, {1: 1.0})])
+    def test_site_count_mismatch_rejected(self, op):
+        assert to_matrix(op, n_sites=3).shape == (8, 8)
+        with pytest.raises(ValueError, match="n_sites 4 disagrees with the operator's 3 sites"):
+            to_matrix(op, n_sites=4)
+
 
 def strings_on(n):
     return st.tuples(*[st.integers(0, 3)] * n).map(PauliString)

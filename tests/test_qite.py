@@ -421,16 +421,16 @@ class TestStepRows:
         amps[rng.random(rows) < 0.3] = np.eye(2**n)[rng.integers(2**n)]
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         pool = qite.make_pool(qite.ODD_Y, n)
-        new, records = qite.step_rows(amps, ham, dbeta, pool, trotter_steps, threshold, c_mode)
-        for row, record in enumerate(records):
+        new, record = qite.step_rows(amps, ham, dbeta, pool, trotter_steps, threshold, c_mode)
+        assert record.a.shape == (rows, pool.size)
+        for row in range(rows):
             alone, own = qite.step(
                 sv.QuantumState(n, amps[row]), ham, dbeta, pool, trotter_steps, threshold, c_mode
             )
             assert np.array_equal(new[row], alone.amplitudes.real)
-            assert np.array_equal(record.a, own.a)
-            assert (record.c_step, record.energy, record.kept_terms, record.residual) == (
-                own.c_step, own.energy, own.kept_terms, own.residual
-            )
+            assert np.array_equal(record.a[row], own.a)
+            assert (record.c_step[row], record.energy[row], record.kept_terms[row],
+                    record.residual[row]) == (own.c_step, own.energy, own.kept_terms, own.residual)
 
     def test_six_site_rows_are_bitwise_the_rows_stepped_alone(self):
         # 64 rows per pass at N = 6, so the 65 rows run as passes of 64 and 1
@@ -439,14 +439,14 @@ class TestStepRows:
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 6, 0.5, 1.0)).hamiltonian
         amps = np.concatenate([rng.standard_normal((63, 64)), np.eye(64)[[3, 21]]])
         amps[:63] /= np.linalg.norm(amps[:63], axis=1, keepdims=True)
-        new, records = qite.step_rows(amps, ham, 0.25, pool, qite.DEFAULT_TROTTER_STEPS,
-                                      qite.DEFAULT_THRESHOLD, qite.C_EXPONENTIAL)
-        for row, record in enumerate(records):
+        new, record = qite.step_rows(amps, ham, 0.25, pool, qite.DEFAULT_TROTTER_STEPS,
+                                     qite.DEFAULT_THRESHOLD, qite.C_EXPONENTIAL)
+        assert np.all(record.kept_terms > 0)
+        for row in range(65):
             alone, own = qite.step(sv.QuantumState(6, amps[row]), ham, 0.25, pool)
-            assert record.kept_terms > 0
             assert np.array_equal(new[row], alone.amplitudes.real)
-            assert np.array_equal(record.a, own.a)
-            assert (record.c_step, record.energy, record.residual) == (
+            assert np.array_equal(record.a[row], own.a)
+            assert (record.c_step[row], record.energy[row], record.residual[row]) == (
                 own.c_step, own.energy, own.residual
             )
 
@@ -514,11 +514,11 @@ class TestWalshPlan:
         pool = qite.make_pool(qite.ODD_Y, n)
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, n, 0.5, 1.0)).hamiltonian
         amps = np.concatenate([rng.standard_normal((3, 2**n)), np.eye(2**n)[[3]]])
-        _, records = qite.step_rows(amps, ham, 0.25, pool, 1, 0.0, qite.C_EXPONENTIAL)
+        _, record = qite.step_rows(amps, ham, 0.25, pool, 1, 0.0, qite.C_EXPONENTIAL)
         perms, gens = qite._gram_plan(pool)
-        for phi, w, record in zip(amps, -amps @ to_matrix(ham).real.T, records):
+        for phi, w, a in zip(amps, -amps @ to_matrix(ham).real.T, record.a):
             want = np.sum(phi[perms] * gens * w, axis=1) * (2.0 / (2**n * (phi @ phi)))
-            assert np.max(np.abs(record.a - want)) < 1e-12
+            assert np.max(np.abs(a - want)) < 1e-12
 
     @pytest.mark.parametrize("c_mode", qite.C_MODES)
     @pytest.mark.parametrize("n", [4, 6])
@@ -544,26 +544,32 @@ class TestTrajectory:
     def test_short_step_keeps_initial_diagonal_values(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         obs = model.default_observables(4)
-        traj = qite.run_trajectory(5, ham, 1e-7, 1, obs, pool4)
+        traj = qite.measure(qite.run_trajectory(5, ham, 1e-7, 1, pool4), obs)
         state = sv.basis_state(5, 4)
         for name, op in obs.items():
-            assert traj.observables[name][0] == pytest.approx(
+            assert traj.observables[name].shape == (1, 1)
+            assert traj.observables[name][0, 0] == pytest.approx(
                 sv.expectation(state, op).real, abs=1e-5
             )
 
     def test_cumulative_weights_are_running_products(self, pool4):
+        # and the energy and kept terms are the step records'
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
-        traj = qite.run_trajectory(3, ham, 0.25, 5, model.default_observables(4), pool4)
-        prod = 1.0
-        for record, weight in zip(traj.records, traj.cumulative_weights):
+        traj = qite.run_trajectory(3, ham, 0.25, 5, pool4)
+        assert traj.labels.tolist() == [3]
+        assert traj.weights.shape == traj.energy.shape == traj.kept_terms.shape == (1, 5)
+        state, prod = sv.basis_state(3, 4), 1.0
+        for k in range(5):
+            state, record = qite.step(state, ham, 0.25, pool4)
             prod *= record.c_step
-            assert weight == pytest.approx(prod)
+            assert traj.weights[0, k] == prod
+            assert (traj.energy[0, k], traj.kept_terms[0, k]) == (record.energy, record.kept_terms)
 
     def test_energy_descends_from_basis_state(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 0.0)).hamiltonian
         obs = {"energy": ham}
-        traj = qite.run_trajectory(0, ham, 0.25, 20, obs, pool4)
-        energies = traj.observables["energy"]
+        traj = qite.measure(qite.run_trajectory(0, ham, 0.25, 20, pool4), obs)
+        energies = traj.observables["energy"][0]
         for prev, cur in zip(energies[3:], energies[4:]):
             assert cur <= prev + 1e-9
 
@@ -572,69 +578,77 @@ class TestTrajectory:
         # states matched sequential_rotations to 1e-12 at every step; the fermion
         # number is conserved exactly along the trajectory
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
-        traj = qite.run_trajectory(3, ham, 0.25, 3, model.default_observables(4), pool4)
-        assert [r.energy for r in traj.records] == pytest.approx(
+        obs = model.default_observables(4)
+        traj = qite.measure(qite.run_trajectory(3, ham, 0.25, 3, pool4), obs)
+        assert traj.energy[0] == pytest.approx(
             [0.0, -0.858372961019, -1.398027912539], abs=1e-9
         )
-        assert traj.cumulative_weights == pytest.approx(
+        assert traj.weights[0] == pytest.approx(
             [1.0, 1.536007443142, 3.090090680065], abs=1e-9
         )
-        assert [r.kept_terms for r in traj.records] == [16, 24, 56]
-        assert traj.observables[model.CHIRAL_CONDENSATE] == pytest.approx(
+        assert traj.kept_terms[0].tolist() == [16, 24, 56]
+        assert traj.observables[model.CHIRAL_CONDENSATE][0] == pytest.approx(
             [0.000757060729, -0.185249232456, -0.446903423784], abs=1e-9
         )
-        assert traj.observables[model.FERMION_NUMBER] == pytest.approx(
+        assert traj.observables[model.FERMION_NUMBER][0] == pytest.approx(
             [2.0, 2.0, 2.0], abs=1e-12
         )
 
     def test_shot_mode_is_seed_deterministic(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         obs = model.default_observables(4)
-        kwargs = dict(mode=qite.MODE_SHOTS, shots=256, seed=42)
-        a = qite.run_trajectory(1, ham, 0.25, 3, obs, pool4, **kwargs)
-        b = qite.run_trajectory(1, ham, 0.25, 3, obs, pool4, **kwargs)
-        c = qite.run_trajectory(1, ham, 0.25, 3, obs, pool4, mode=qite.MODE_SHOTS, shots=256, seed=43)
-        assert a.observables == b.observables
-        assert a.observables != c.observables
+        traj = qite.run_trajectory(1, ham, 0.25, 3, pool4)
+        a, b, c = (qite.measure(traj, obs, mode=qite.MODE_SHOTS, shots=256, seed=seed)
+                   for seed in (42, 42, 43))
+        assert all(np.array_equal(a.observables[name], b.observables[name]) for name in obs)
+        assert not all(np.array_equal(a.observables[name], c.observables[name]) for name in obs)
 
     def test_states_are_the_chained_steps(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
-        traj = qite.run_trajectory(6, ham, 0.25, 4, model.default_observables(4), pool4)
-        assert traj.states.shape == (4, 16) and traj.states.dtype == float
+        traj = qite.run_trajectory(6, ham, 0.25, 4, pool4)
+        assert traj.states.shape == (1, 4, 16) and traj.states.dtype == float
         state = sv.basis_state(6, 4)
-        for row in traj.states:
+        for row in traj.states[0]:
             state, _ = qite.step(state, ham, 0.25, pool4)
             assert np.array_equal(row, state.amplitudes.real)
 
     def test_measure_under_another_seed_matches_a_fresh_run(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         obs = model.default_observables(4)
-        exact = qite.run_trajectory(2, ham, 0.25, 3, obs, pool4)
+        exact = qite.measure(qite.run_trajectory(2, ham, 0.25, 3, pool4), obs)
+        assert exact.observable_variances == {}
         for seed in (0, 9):
             kwargs = dict(mode=qite.MODE_SHOTS, shots=128, seed=seed)
-            fresh = qite.run_trajectory(2, ham, 0.25, 3, obs, pool4, **kwargs)
+            fresh = qite.measure(qite.run_trajectory(2, ham, 0.25, 3, pool4), obs, **kwargs)
             remeasured = qite.measure(exact, obs, **kwargs)
             assert remeasured.states is exact.states
-            assert remeasured.observables == fresh.observables
-            assert remeasured.observable_variances == fresh.observable_variances
-        assert qite.measure(fresh, obs).observables == exact.observables
+            for name in obs:
+                assert np.array_equal(remeasured.observables[name], fresh.observables[name])
+                assert np.array_equal(remeasured.observable_variances[name],
+                                      fresh.observable_variances[name])
+        again = qite.measure(fresh, obs)
+        assert again.observable_variances == {}
+        for name in obs:
+            assert np.array_equal(again.observables[name], exact.observables[name])
 
     def test_shots_draw_one_batch_per_step_from_the_derived_seed(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         obs = model.default_observables(4)
-        traj = qite.run_trajectory(5, ham, 0.25, 3, obs, pool4, mode=qite.MODE_SHOTS, shots=200, seed=8)
-        for k, row in enumerate(traj.states, start=1):
+        traj = qite.measure(qite.run_trajectory(5, ham, 0.25, 3, pool4), obs,
+                            mode=qite.MODE_SHOTS, shots=200, seed=8)
+        for k, row in enumerate(traj.states[0], start=1):
             counts = sv.sample(sv.QuantumState(4, row), 200, qite._derived_seed(8, 5, k))
             for name, op in obs.items():
-                assert traj.observables[name][k - 1] == sv.estimate_diagonal(counts, op)
-                assert traj.observable_variances[name][k - 1] == sv.estimate_diagonal_variance(
+                assert traj.observables[name][0, k - 1] == sv.estimate_diagonal(counts, op)
+                assert traj.observable_variances[name][0, k - 1] == sv.estimate_diagonal_variance(
                     counts, op
                 )
 
     def test_non_diagonal_observable_rejected_in_shot_mode(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         obs = {"x0": PauliSum(4, {pauli.pack((pauli.X, 0, 0, 0)): 1.0})}
+        traj = qite.run_trajectory(0, ham, 0.25, 2, pool4)
         with pytest.raises(ValueError, match="is not Z-diagonal; shot estimation only supports"):
-            qite.run_trajectory(0, ham, 0.25, 2, obs, pool4, mode=qite.MODE_SHOTS)
+            qite.measure(traj, obs, mode=qite.MODE_SHOTS)
         with pytest.raises(ValueError, match="unknown measurement mode"):
-            qite.run_trajectory(0, ham, 0.25, 2, obs, pool4, mode="tomography")
+            qite.measure(traj, obs, mode="tomography")
