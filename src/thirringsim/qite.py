@@ -148,7 +148,7 @@ class StepRecord:
 class Trajectories:
     """B trajectories of K chained steps each, as arrays.
 
-    ``labels[b]`` names trajectory b (shots derive their seeds from it);
+    ``labels[b]`` names trajectory b (with the sampling seed, it seeds its shots);
     ``states[b, k-1]`` is its state after step k, at inverse temperature
     beta = 2*k*dbeta, in a real (B, K, 2^N) array; ``weights[b, k-1]`` is
     the product of its first k step weights; ``energy[b, k-1]`` and
@@ -410,10 +410,6 @@ def step(
     return QuantumState(state.n_sites, amps[0]), StepRecord(a, *(x.item() for x in scalars))
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
-
-
 def measure(
     trajectories: Trajectories, observables: dict[str, PauliSum], *, mode: str = MODE_EXACT,
     shots: int = 1024, seed: int = 0,
@@ -421,15 +417,14 @@ def measure(
     """The trajectories with every observable measured on all their stored states at once.
 
     Exact mode evaluates each observable on the (B, K, 2^N) states in one
-    call.  Shots mode draws one batch of ``shots`` per state, row b's step k
-    seeded from (seed, labels[b], k), and every observable reads that batch.
+    call.  Shots mode draws ``shots`` per state: trajectory b's K states in
+    one ``sample_rows`` call seeded (seed, labels[b]), so its counts do not
+    depend on the rest of the batch.  Every observable reads those counts.
     """
     states, values, variances = trajectories.states, {}, {}
-    _, n_steps, dim = states.shape
     if mode == MODE_SHOTS:
-        seeds = [_derived_seed(seed, label, k)
-                 for label in trajectories.labels.tolist() for k in range(1, n_steps + 1)]
-        counts = sample_rows(states.reshape(-1, dim), shots, seeds).reshape(states.shape)
+        counts = np.array([sample_rows(rows, shots, (seed, label)) for rows, label
+                           in zip(states, trajectories.labels.tolist())]).reshape(states.shape)
         for name, obs in observables.items():
             values[name], variances[name] = diagonal_moments(counts, shots, obs)
     elif mode == MODE_EXACT:

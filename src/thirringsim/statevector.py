@@ -143,11 +143,11 @@ def expectation(
     return complex(values) if values.ndim == 0 else values
 
 
-def sample_rows(amps: np.ndarray, shots: int, seeds: list[int]) -> np.ndarray:
-    """Shot counts (K, 2^N) of the rows of a (K, 2^N) amplitude array, row k seeded ``seeds[k]``.
+def sample_rows(amps: np.ndarray, shots: int, seed: int | tuple[int, ...]) -> np.ndarray:
+    """Shot counts (K, 2^N) of the rows of a (K, 2^N) amplitude array, all drawn from one generator.
 
-    Each row's CDF is searched with its generator's uniforms, as
-    ``Generator.choice(2^N, size=shots, p=|row|^2)`` does, so the counts are choice's bit for bit.
+    One ``default_rng(seed).multinomial`` call draws ``shots`` per row from its |a|^2; it consumes
+    the stream row by row, so row k's counts depend only on ``seed`` and rows 0..k.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -156,16 +156,12 @@ def sample_rows(amps: np.ndarray, shots: int, seeds: list[int]) -> np.ndarray:
         probs /= np.sum(probs, axis=-1, keepdims=True)
     if not np.all(np.isfinite(probs)):
         raise ValueError("shot probabilities are not finite: an all-zero or non-finite state")
-    cdf = np.cumsum(probs, axis=-1)
-    cdf /= cdf[:, -1:]
-    draws = (row.searchsorted(np.random.default_rng(seed).random(shots), side="right")
-             for row, seed in zip(cdf, seeds, strict=True))
-    return np.array([np.bincount(outcomes, minlength=cdf.shape[-1]) for outcomes in draws])
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def sample(state: QuantumState, shots: int, seed: int) -> ShotCounts:
     """Draw computational-basis shots i.i.d. with probability |amplitude|^2."""
-    return ShotCounts(shots, sample_rows(state.amplitudes[None], shots, [seed])[0], seed)
+    return ShotCounts(shots, sample_rows(state.amplitudes[None], shots, seed)[0], seed)
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,6 @@
 """Imaginary-time step machinery: Gram system, solver, step, trajectories."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -464,6 +466,23 @@ class TestStepRows:
             worst = max(worst, np.max(np.sum(rows**2, axis=1, where=other_sector)))
         assert worst < 1e-20
 
+    @pytest.mark.parametrize("variant", [model.EUCLIDEAN, model.MINKOWSKI])
+    @pytest.mark.parametrize("g2", [0.0, 1.0, 2.5])
+    def test_one_state_sectors_never_move_and_weigh_exp_minus_beta_e(self, variant, g2, pool4):
+        # |0000> and |1111> are the only states with fermion number 0 and N: eigenstates of H,
+        # so no coefficient is kept, the state stays put and the weight is exactly e^{-beta E}
+        ham = model.assemble(model.ModelParams(variant, 4, 0.5, g2)).hamiltonian
+        start = np.eye(16)[[0, 15]]
+        energy = np.diag(to_matrix(ham, n_sites=4)).real[[0, 15]]
+        rows, weights = start, np.ones(2)
+        for k in range(1, 21):
+            rows, record = qite.step_rows(rows, ham, 0.25, pool4, qite.DEFAULT_TROTTER_STEPS,
+                                          qite.DEFAULT_THRESHOLD, qite.C_EXPONENTIAL)
+            weights = weights * record.c_step
+            assert record.kept_terms.tolist() == [0, 0]
+            assert np.array_equal(rows, start)
+            np.testing.assert_allclose(weights, np.exp(-2 * k * 0.25 * energy), rtol=1e-13)
+
     def test_no_least_squares_solve(self, pool4, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.lstsq was called")
@@ -631,18 +650,51 @@ class TestTrajectory:
         for name in obs:
             assert np.array_equal(again.observables[name], exact.observables[name])
 
-    def test_shots_draw_one_batch_per_step_from_the_derived_seed(self, pool4):
+    def test_shots_draw_each_trajectory_from_one_generator(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian
         obs = model.default_observables(4)
         traj = qite.measure(qite.run_trajectory(5, ham, 0.25, 3, pool4), obs,
                             mode=qite.MODE_SHOTS, shots=200, seed=8)
+        # one generator seeded (seed, label) draws the K steps in order, one multinomial each
+        rng = np.random.default_rng((8, 5))
         for k, row in enumerate(traj.states[0], start=1):
-            counts = sv.sample(sv.QuantumState(4, row), 200, qite._derived_seed(8, 5, k))
+            probs = row**2 / np.sum(row**2)
+            counts = sv.ShotCounts(200, rng.multinomial(200, probs), seed=8)
             for name, op in obs.items():
                 assert traj.observables[name][0, k - 1] == sv.estimate_diagonal(counts, op)
                 assert traj.observable_variances[name][0, k - 1] == sv.estimate_diagonal_variance(
                     counts, op
                 )
+
+    def test_shot_counts_depend_only_on_seed_and_label(self, pool4):
+        ham = model.assemble(model.ModelParams(model.MINKOWSKI, 4, 0.5, 1.0)).hamiltonian
+        obs = model.default_observables(4)
+        kwargs = dict(mode=qite.MODE_SHOTS, shots=256, seed=3)
+        chiral = model.CHIRAL_CONDENSATE
+
+        def measured(trajectories):
+            return qite.measure(trajectories, obs, **kwargs).observables[chiral]
+
+        alone = measured(qite.run_trajectory(6, ham, 0.25, 8, pool4))[0]
+        # inside a batch, at either end of it
+        others = [qite.run_trajectory(i, ham, 0.25, 8, pool4) for i in (9, 3)]
+        first = measured(qite.Trajectories.concatenate(
+            [qite.run_trajectory(6, ham, 0.25, 8, pool4), *others]))
+        last = measured(qite.Trajectories.concatenate(
+            [*others, qite.run_trajectory(6, ham, 0.25, 8, pool4)]))
+        assert np.array_equal(first[0], alone) and np.array_equal(last[-1], alone)
+        assert np.array_equal(first[1:], last[:-1])
+        # the first k steps, whatever n_steps is
+        for n_steps in (1, 3, 5):
+            short = measured(qite.run_trajectory(6, ham, 0.25, n_steps, pool4))[0]
+            assert np.array_equal(short, alone[:n_steps])
+        # and the label is part of the seed: the same states under another label draw anew
+        relabelled = replace(qite.run_trajectory(6, ham, 0.25, 8, pool4), labels=np.array([7]))
+        assert not np.array_equal(measured(relabelled)[0], alone)
+        # an empty batch measures to (0, K) arrays, as in exact mode
+        empty = qite.Trajectories(np.array([], dtype=int), np.zeros((0, 8, 16)),
+                                  *(np.zeros((0, 8)) for _ in range(3)))
+        assert measured(empty).shape == qite.measure(empty, obs).observables[chiral].shape == (0, 8)
 
     def test_non_diagonal_observable_rejected_in_shot_mode(self, pool4):
         ham = model.assemble(model.ModelParams(model.EUCLIDEAN, 4, 0.5, 1.0)).hamiltonian

@@ -19,13 +19,16 @@ def random_state(n, rng):
     return sv.QuantumState(n, v / np.linalg.norm(v))
 
 
-def dict_sample(state, shots, seed):
-    """Reference: the shots as bitstring-keyed counts, site N-1 first."""
+def dict_sample(state, shots, rng):
+    """Reference: one multinomial draw from ``default_rng(rng)`` as bitstring-keyed counts.
+
+    A Generator passes through ``default_rng`` unchanged, so successive calls on one
+    generator continue its stream.  Keys put site N-1 first; outcomes never drawn are absent.
+    """
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
-    outcomes = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {format(int(v), f"0{state.n_sites}b"): int(c) for v, c in zip(values, counts)}
+    counts = np.random.default_rng(rng).multinomial(shots, probs)
+    return {format(i, f"0{state.n_sites}b"): int(c) for i, c in enumerate(counts) if c}
 
 
 def dict_estimates(counts, shots, op):
@@ -230,7 +233,7 @@ class TestSampling:
     )
     def test_batched_draw_and_moments_match_one_row_at_a_time(self, n, data, shots, state_seed):
         k = data.draw(st.integers(1, 8))
-        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=k, max_size=k))
+        seed = data.draw(st.integers(0, 2**64 - 1))
         basis = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
         rng = np.random.default_rng(state_seed)
         states = rng.standard_normal((k, 2**n))
@@ -238,30 +241,34 @@ class TestSampling:
         for row, one_hot in zip(states, basis):
             if one_hot:  # zero probability on every other index
                 row[:] = np.eye(2**n)[rng.integers(2**n)]
-        counts = sv.sample_rows(states, shots, seeds)
+        counts = sv.sample_rows(states, shots, seed)
         assert counts.shape == (k, 2**n)
         z_strings = [pauli.pack(tuple(pauli.Z if (m >> i) & 1 else 0 for i in range(n)))
                      for m in range(2**n)]
         chosen = rng.choice(z_strings, size=min(5, len(z_strings)), replace=False)
         op = PauliSum(n, {int(j): float(rng.standard_normal()) for j in chosen})
         means, variances = sv.diagonal_moments(counts, shots, op)
-        for row, seed, got, mean, variance in zip(states, seeds, counts, means, variances):
+        # the rows consume one generator's stream in order, one multinomial draw each
+        stream = np.random.default_rng(seed)
+        for j, (row, got, mean, variance) in enumerate(zip(states, counts, means, variances)):
             state = sv.QuantumState(n, row)
-            one = sv.sample(state, shots, seed)
-            reference = dict_sample(state, shots, seed)
-            assert got.tolist() == one.counts.tolist()
+            one = sv.ShotCounts(shots, got, seed)
+            reference = dict_sample(state, shots, stream)
             assert got.tolist() == [reference.get(format(i, f"0{n}b"), 0) for i in range(2**n)]
+            assert np.array_equal(sv.sample_rows(states[:j + 1], shots, seed), counts[:j + 1])
             assert mean == sv.estimate_diagonal(one, op)
             assert variance == sv.estimate_diagonal_variance(one, op)
+        first = sv.sample(sv.QuantumState(n, states[0]), shots, seed)
+        assert counts[0].tolist() == first.counts.tolist()
 
-    def test_batched_draw_rejects_what_choice_rejects(self):
+    def test_draw_rejects_non_finite_rows_and_no_shots(self):
         good = np.full((2, 4), 0.5)
         for bad_row in (np.array([np.nan, 1.0, 0.0, 0.0]), np.zeros(4), np.array([np.inf, 0, 0, 0])):
             with pytest.raises(ValueError, match="not finite"):
-                sv.sample_rows(np.vstack([good, bad_row]), 16, [1, 2, 3])
+                sv.sample_rows(np.vstack([good, bad_row]), 16, 1)
         for shots in (0, -3):
             with pytest.raises(ValueError, match="shots must be positive"):
-                sv.sample_rows(good, shots, [1, 2])
+                sv.sample_rows(good, shots, 1)
             with pytest.raises(ValueError, match="shots must be positive"):
                 sv.sample(sv.basis_state(0, 2), shots, 1)
 

@@ -134,9 +134,11 @@ class TestBatchLayout:
         exact = qite.measure(batch, obs)
         shots = qite.measure(batch, obs, mode=qite.MODE_SHOTS, shots=50, seed=2)
         for b, label in enumerate(batch.labels.tolist()):
+            # trajectory b's K states, drawn alone from one generator seeded (seed, label)
+            draws = sv.sample_rows(batch.states[b], 50, (2, label))
             for k, row in enumerate(batch.states[b], start=1):
                 state = sv.QuantumState(4, row)
-                counts = sv.sample(state, 50, qite._derived_seed(2, label, k))
+                counts = sv.ShotCounts(50, draws[k - 1], seed=2)
                 for name, op in obs.items():
                     assert exact.observables[name][b, k - 1] == sv.expectation(state, op).real
                     assert shots.observables[name][b, k - 1] == sv.estimate_diagonal(counts, op)
