@@ -21,6 +21,7 @@ HERMITICITY_TOL = 1e-10
 LOW_TEMPERATURE = 0.01  # in units of 1/a; beta = 100
 STEP_JUMP = 0.4  # a plateau step is an adjacent-point jump larger than this
 STEP_MARGIN = 0.2  # couplings this close in g2 to a plateau step are not checked
+EPS = 1e-9  # g2 grids are rounded decimals; do not let fp noise flip a width or boundary test
 
 
 @dataclass(frozen=True)
@@ -180,5 +181,30 @@ def find_plateau_steps(g2_values, values) -> list[tuple[float, float]]:
 
 def away_from_steps(g2: float, steps) -> bool:
     """True when g2 is at least ``STEP_MARGIN`` away from every detected step interval."""
-    eps = 1e-9  # grids are rounded decimals; do not let fp noise flip the boundary
-    return all(g2 <= lo - STEP_MARGIN + eps or g2 >= hi + STEP_MARGIN - eps for lo, hi in steps)
+    return all(g2 <= lo - STEP_MARGIN + EPS or g2 >= hi + STEP_MARGIN - EPS for lo, hi in steps)
+
+
+def plateau_steps(variant: str, g2_grid, am=0.5, n_sites=4, a_mu=0.0) -> list[tuple[float, float]]:
+    """Plateau steps of the exact ``LOW_TEMPERATURE`` fermion number, whatever the grid spacing.
+
+    Each step interval ``find_plateau_steps`` would give on the ascending ``g2_grid``
+    is halved on the exact curve until it is no wider than ``STEP_MARGIN``, keeping
+    every half that still jumps by more than ``STEP_JUMP``: one interval can hold two steps.
+    """
+    number = model.observable_fermion_number(n_sites)
+
+    def fermion(g2):
+        ham = model.assemble(model.ModelParams(variant, n_sites, am, g2, a_mu)).hamiltonian
+        return thermal_expectation(ham, number, 1.0 / LOW_TEMPERATURE)
+
+    def located(lo, hi, v_lo, v_hi):
+        if abs(v_hi - v_lo) <= STEP_JUMP:
+            return []
+        if hi - lo <= STEP_MARGIN + EPS:
+            return [(lo, hi)]
+        mid = (lo + hi) / 2
+        v_mid = fermion(mid)
+        return located(lo, mid, v_lo, v_mid) + located(mid, hi, v_mid, v_hi)
+
+    values = [fermion(g2) for g2 in g2_grid]
+    return [s for ends in zip(g2_grid, g2_grid[1:], values, values[1:]) for s in located(*ends)]

@@ -206,6 +206,13 @@ class TestCompareCommand:
         assert passed
         assert "max deviation 0" in report
 
+    def test_file_compared_with_itself_names_a_point(self, tmp_path):
+        # every deviation is 0, so the first checked point is the largest
+        sweep_out, _ = self._write_pair(tmp_path)
+        _, report = cli.compare_files(str(sweep_out), str(sweep_out))
+        assert "max deviation 0 at ('euclidean', 0.0, 2.0, 'chiral_condensate')" in report
+        assert "None" not in report
+
     def test_file_with_the_retired_b_scaling_line_still_reads(self, tmp_path):
         # every sweep file written while the 1/sqrt(C) option existed echoes it
         sweep_out, _ = self._write_pair(tmp_path)
@@ -312,6 +319,40 @@ class TestCompareCommand:
         assert passed
         assert "exclusion window: variant=euclidean g2 in (0.4, 0.9)" in report
         assert "compared 12 points (16 excluded near plateau steps)" in report
+
+    def _windows_of_self_compare(self, tmp_path, **grid):
+        oracle_out = tmp_path / "oracle.csv"
+        cli.cmd_oracle(tiny_config(output=str(oracle_out), t_grid=cli.T_GRID_QMETTS, **grid))
+        passed, report = cli.compare_files(str(oracle_out), str(oracle_out))
+        assert passed, report
+        lines = report.splitlines()
+        return lines[0], [line for line in lines if line.startswith("exclusion window")]
+
+    def test_coarse_grid_windows_are_narrowed_on_the_exact_curve(self, tmp_path):
+        # each step falls in a 0.9-wide interval; taken whole, the windows
+        # (0.1, 1.4) and (1, 2.3) excluded every point
+        first, windows = self._windows_of_self_compare(
+            tmp_path, g2_start=0.3, g2_stop=2.1, g2_step=0.9)
+        assert first == "compared 8 points (4 excluded near plateau steps)"
+        assert windows == ["exclusion window: variant=euclidean g2 in (0.325, 0.8375)",
+                           "exclusion window: variant=euclidean g2 in (1.7875, 2.3)"]
+
+    def test_two_point_grid_has_a_window_at_each_step(self, tmp_path):
+        # the upper step shows as two adjacent windows: its crossing lies by a midpoint
+        first, windows = self._windows_of_self_compare(
+            tmp_path, g2_start=0.0, g2_stop=3.0, g2_step=3.0)
+        assert first == "compared 8 points (0 excluded near plateau steps)"
+        assert windows == ["exclusion window: variant=euclidean g2 in (0.3625, 0.95)",
+                           "exclusion window: variant=euclidean g2 in (1.675, 2.2625)",
+                           "exclusion window: variant=euclidean g2 in (1.8625, 2.45)"]
+
+    def test_default_minkowski_windows_are_the_grid_intervals(self, tmp_path):
+        first, windows = self._windows_of_self_compare(tmp_path, variant=model.MINKOWSKI,
+                                                       g2_start=0.0, g2_stop=5.0, g2_step=0.2)
+        assert first == "compared 84 points (20 excluded near plateau steps)"
+        assert windows == ["exclusion window: variant=minkowski g2 in (0.6, 1.2)",
+                           "exclusion window: variant=minkowski g2 in (0.8, 1.4)",
+                           "exclusion window: variant=minkowski g2 in (3.8, 4.4)"]
 
     def test_file_cut_mid_row_is_an_error(self, tmp_path, capsys):
         sweep_out, oracle_out = self._write_pair(tmp_path)

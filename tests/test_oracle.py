@@ -152,6 +152,35 @@ class TestSweepAndSteps:
         assert not oracle.away_from_steps(1.1, steps)
         assert oracle.away_from_steps(1.4, steps)
 
+    def test_plateau_steps_on_a_default_grid_are_its_step_intervals(self):
+        # spacing <= 0.2 halves nothing: compare's windows stay the grid-level ones,
+        # and the Minkowski (4.0, 4.2), 0.2000000000000002 wide, is not halved
+        grids = {model.EUCLIDEAN: (31, 0.1, [(0.6, 0.7), (2.0, 2.1)]),
+                 model.MINKOWSKI: (26, 0.2, [(0.8, 1.0), (1.0, 1.2), (4.0, 4.2)])}
+        for variant, (n, spacing, want) in grids.items():
+            grid = [round(spacing * i, 12) for i in range(n)]
+            low = oracle.figure1_sweep(variant, [oracle.LOW_TEMPERATURE], grid)
+            fermion = [r["value"] for r in low if r["observable"] == model.FERMION_NUMBER]
+            assert oracle.find_plateau_steps(grid, fermion) == want
+            assert oracle.plateau_steps(variant, grid) == want
+
+    def test_plateau_steps_halve_a_coarse_interval_three_times(self, monkeypatch):
+        # 0.9 -> 0.45 -> 0.225 -> 0.1125: one fermion-number evaluation per halving
+        calls = []
+        real = oracle.thermal_expectation
+        monkeypatch.setattr(oracle, "thermal_expectation", lambda *a: calls.append(a) or real(*a))
+        steps = oracle.plateau_steps(model.EUCLIDEAN, [0.3, 1.2, 2.1])
+        assert steps == [(0.525, 0.6375), (1.9875, 2.1)]
+        assert len(calls) == 3 + 2 * 3
+        assert all(obs == model.observable_fermion_number(4) for _, obs, _ in calls)
+
+    def test_plateau_steps_find_both_steps_in_one_interval(self):
+        # n = 2 at g2 = 0 and n = 4 at g2 = 3; the upper crossing (g2 ~ 2.062)
+        # lies by the midpoint 2.0625, so both halves there jump and it shows as
+        # two adjacent intervals, as a crossing on a grid point does
+        steps = oracle.plateau_steps(model.EUCLIDEAN, [0.0, 3.0])
+        assert steps == [(0.5625, 0.75), (1.875, 2.0625), (2.0625, 2.25)]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             oracle.figure1_sweep(model.EUCLIDEAN, [], [1.0])
