@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__, model, oracle, qite, thermal
-from .checks import run_all_checks
+from .checks import CheckResult, run_all_checks
 
 # every sweep-file column in file order: the type its field reads back as,
 # and whether an empty field reads back as None
@@ -341,66 +341,31 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # compare
 
 
-def _is_finite_row(row: dict) -> bool:
-    return all(not isinstance(v, float) or math.isfinite(v) for v in row.values())
-
-
 def _row_key(row: dict) -> tuple:
     return (row["variant"], round(row["g2"], 9), round(row["T"], 9), row["observable"])
 
 
-def compare_files(test_path: str, reference_path: str, tolerance: float = 0.05) -> tuple[bool, str]:
-    """Per-point deviation report of a sweep file against a reference file.
+def compare_files(test_path: str, reference_path: str,
+                  tolerance: float = 0.05) -> list[CheckResult]:
+    """The ``points`` and ``observables`` checks of a sweep file against a reference file.
 
-    Points within ``oracle.STEP_MARGIN`` in g2 of a plateau discontinuity
-    are excluded from the pass/fail decision but still listed. The steps
-    are a low-temperature spectral feature, so ``oracle.plateau_steps``
-    locates them on the exact T = 0.01 fermion number at the reference
-    file's couplings, not on its thermally smeared rows, and narrows each to
-    within the margin on that curve whatever the grid spacing.
-    The comparison fails when no point is checked, when either file holds
-    a non-finite value, when either file holds a point twice, or when a
-    point of the reference file is missing from the test file.
+    ``points`` fails on a non-finite value or a repeated point in either file,
+    a reference point missing from the test file, or no checked point;
+    ``observables`` fails when a checked point deviates by more than
+    ``tolerance``. Points within ``oracle.STEP_MARGIN`` in g2 of a plateau
+    step of the exact T = 0.01 fermion number (``oracle.plateau_steps``, at
+    the reference file's couplings) are not checked. Each detail's first
+    line sums its check up; the lines after it are the evidence.
     """
     _, test_rows = read_sweep_csv(test_path)
     ref_cfg, ref_rows = read_sweep_csv(reference_path)
+    problems = _point_problems(test_path, test_rows, reference_path, ref_rows)
     reference = {_row_key(r): r for r in ref_rows}
-
-    missing = [k for r in test_rows if (k := _row_key(r)) not in reference]
-    if missing:
-        sample = ", ".join(str(k) for k in missing[:5])
-        raise ValueError(
-            f"grid mismatch: {len(missing)} of {len(test_rows)} points in {test_path} "
-            f"have no counterpart in {reference_path} (first few: {sample}); "
-            "regenerate the reference on the same grid (oracle --t-grid qmetts)"
-        )
-
     steps_by_variant = {
         v: oracle.plateau_steps(v, sorted({r["g2"] for r in ref_rows if r["variant"] == v}),
                                 ref_cfg.am, ref_cfg.n_sites, ref_cfg.a_mu)
         for v in sorted({r["variant"] for r in ref_rows})
     }
-
-    problems = []
-    for path, rows in ((test_path, test_rows), (reference_path, ref_rows)):
-        bad = [r for r in rows if not _is_finite_row(r)]
-        if bad:
-            problems.append(
-                f"FAIL {len(bad)} of {len(rows)} rows of {path} hold non-finite values "
-                f"(first at {_row_key(bad[0])})"
-            )
-        repeated = [k for k, n in Counter(_row_key(r) for r in rows).items() if n > 1]
-        if repeated:
-            problems.append(
-                f"FAIL {len(repeated)} points of {path} appear more than once "
-                f"(first {repeated[0]})"
-            )
-    absent = reference.keys() - {_row_key(r) for r in test_rows}
-    if absent:
-        problems.append(
-            f"FAIL {len(absent)} of {len(reference)} reference points are missing from {test_path}"
-        )
-
     deviations = [(r, abs(r["value"] - reference[_row_key(r)]["value"])) for r in test_rows]
     checked = [(r, dev) for r, dev in deviations
                if oracle.away_from_steps(r["g2"], steps_by_variant[r["variant"]])]
@@ -409,42 +374,75 @@ def compare_files(test_path: str, reference_path: str, tolerance: float = 0.05) 
     within_3sigma = [dev <= 3.0 * r["stderr"] + 1e-9 for r, dev in deviations
                      if r["stderr"] is not None]
 
-    lines = [f"compared {len(checked)} points "
-             f"({len(deviations) - len(checked)} excluded near plateau steps)"]
-    lines += [f"exclusion window: variant={variant} "
-              f"g2 in ({lo - oracle.STEP_MARGIN:g}, {hi + oracle.STEP_MARGIN:g})"
-              for variant, steps in sorted(steps_by_variant.items()) for lo, hi in steps]
+    if not checked:
+        problems.append("no points compared")
+    points = [
+        "; ".join(problems) or f"{len(ref_rows)} reference points, each once and finite in both",
+        f"compared {len(checked)} points ({len(deviations) - len(checked)} excluded near "
+        "plateau steps)",
+        *(f"exclusion window: variant={variant} g2 in ({lo - oracle.STEP_MARGIN:g}, "
+          f"{hi + oracle.STEP_MARGIN:g})"
+          for variant, steps in sorted(steps_by_variant.items()) for lo, hi in steps),
+    ]
+    observables = [f"{len(failures)} of {len(checked)} checked points fail"]
     if checked:
         max_row, max_dev = max(checked, key=lambda pair: pair[1])
-        lines.append(f"max deviation {max_dev:.6g} at {_row_key(max_row)}")
-        lines.append(f"mean deviation {sum(dev for _, dev in checked) / len(checked):.6g}")
-    else:
-        problems.append("FAIL no points compared")
+        observables.append(f"max deviation {max_dev:.6g} at {_row_key(max_row)}")
+        observables.append(f"mean deviation {sum(dev for _, dev in checked) / len(checked):.6g}")
     if within_3sigma:
-        lines.append(f"stderr consistency: {sum(within_3sigma)}/{len(within_3sigma)} "
-                     "points within 3 sigma")
-    passed = not failures and not problems
-    lines.extend(problems)
-    if checked:
-        lines.append(f"{len(failures)} of {len(checked)} checked points fail")
-    lines += [f"FAIL {key}: deviation {dev:.6g} > tolerance {tolerance:g}"
-              for key, dev in failures[:10]]
-    lines.append(f"result: {'PASS' if passed else 'FAIL'} (tolerance {tolerance:g})")
-    return passed, "\n".join(lines)
+        observables.append(f"stderr consistency: {sum(within_3sigma)}/{len(within_3sigma)} "
+                           "points within 3 sigma")
+    observables += [f"FAIL {key}: deviation {dev:.6g} > tolerance {tolerance:g}"
+                    for key, dev in failures[:10]]
+    return [CheckResult("points", not problems, "\n".join(points)),
+            CheckResult("observables", not failures, "\n".join(observables))]
+
+
+def _point_problems(test_path, test_rows, reference_path, ref_rows) -> list[str]:
+    """Non-finite, repeated or untested points; raise if the reference lacks a test point."""
+    ref_keys = set(map(_row_key, ref_rows))
+    missing = [k for r in test_rows if (k := _row_key(r)) not in ref_keys]
+    if missing:
+        sample = ", ".join(str(k) for k in missing[:5])
+        raise ValueError(
+            f"grid mismatch: {len(missing)} of {len(test_rows)} points in {test_path} "
+            f"have no counterpart in {reference_path} (first few: {sample}); "
+            "regenerate the reference on the same grid (oracle --t-grid qmetts)"
+        )
+    problems = []
+    for path, rows in ((test_path, test_rows), (reference_path, ref_rows)):
+        bad = [r for r in rows
+               if not all(math.isfinite(v) for v in r.values() if isinstance(v, float))]
+        if bad:
+            problems.append(f"{len(bad)} of {len(rows)} rows of {path} hold non-finite values "
+                            f"(first at {_row_key(bad[0])})")
+        repeated = [k for k, n in Counter(map(_row_key, rows)).items() if n > 1]
+        if repeated:
+            problems.append(f"{len(repeated)} points of {path} appear more than once "
+                            f"(first {repeated[0]})")
+    absent = ref_keys - set(map(_row_key, test_rows))
+    if absent:
+        problems.append(f"{len(absent)} of {len(ref_keys)} reference points are missing from "
+                        f"{test_path}")
+    return problems
+
+
+def print_checks(results: list[CheckResult]) -> bool:
+    """Print each check as ``name  PASS|FAIL  detail``; return whether every check passed."""
+    width = max(len(r.name) for r in results)
+    for r in results:
+        print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
+    return all(r.passed for r in results)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    passed, report = compare_files(args.qmetts_file, args.oracle_file, args.tolerance)
-    print(report)
+    passed = print_checks(compare_files(args.qmetts_file, args.oracle_file, args.tolerance))
+    print(f"result: {'PASS' if passed else 'FAIL'} (tolerance {args.tolerance:g})")
     return 0 if passed else 1
 
 
 def cmd_validate(_args: argparse.Namespace) -> int:
-    results = run_all_checks()
-    width = max(len(r.name) for r in results)
-    for r in results:
-        print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  {r.detail}")
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if print_checks(run_all_checks()) else 1
 
 
 # ---------------------------------------------------------------------------

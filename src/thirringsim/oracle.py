@@ -32,21 +32,27 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
-def dense_real(op: PauliSum) -> np.ndarray:
-    """Dense matrix of a Hermitian sum, checked to be real symmetric."""
-    if 2**op.n_sites > DIM_CAP:
-        raise ValueError(f"dimension 2^{op.n_sites} exceeds the oracle cap {DIM_CAP}")
-    m = to_matrix(op, site_cap=op.n_sites)
+@lru_cache(maxsize=256)
+def _dense_cached(key: tuple) -> np.ndarray:
+    n_sites, items = key
+    if 2**n_sites > DIM_CAP:
+        raise ValueError(f"dimension 2^{n_sites} exceeds the oracle cap {DIM_CAP}")
+    m = to_matrix(PauliSum(n_sites, dict(items)), site_cap=n_sites)
     if np.max(np.abs(m.imag)) > HERMITICITY_TOL or np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise ValueError("operator is not real symmetric in the computational basis")
-    return np.ascontiguousarray(m.real)
+    m = np.ascontiguousarray(m.real)
+    m.flags.writeable = False
+    return m
+
+
+def dense_real(op: PauliSum) -> np.ndarray:
+    """Read-only dense matrix of a Hermitian sum, checked real symmetric; cached per operator."""
+    return _dense_cached(cache_key(op))
 
 
 @lru_cache(maxsize=256)
 def _spectral_cached(key: tuple) -> SpectralData:
-    n_sites, items = key
-    ham = PauliSum(n_sites, dict(items))
-    h = dense_real(ham)
+    h = _dense_cached(key)
     vals, vecs = np.linalg.eigh(h)
     recon = vecs @ (vals[:, None] * vecs.T)
     if np.max(np.abs(h - recon)) > 1e-10:
@@ -62,44 +68,32 @@ def spectral(ham: PauliSum) -> SpectralData:
 
 
 def thermal_expectation(ham: PauliSum, obs: PauliSum, beta: float) -> float:
-    """tr(e^{-beta H} O) / tr(e^{-beta H}) via the eigenbasis.
-
-    The identity component of the Hamiltonian is stripped before
-    diagonalizing (it cancels in the ratio), and the exponent is shifted
-    by the minimum eigenvalue, so large beta cannot overflow.
-    """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    c0 = ham.identity_coefficient()
-    if c0 != 0:
-        ham = ham - PauliSum(ham.n_sites, {0: c0})
-    sd = spectral(ham)
-    w = np.exp(-beta * (sd.eigenvalues - sd.eigenvalues[0]))
-    o = dense_real(obs)
-    o_diag = np.einsum("ij,ij->j", sd.eigenvectors, o @ sd.eigenvectors)
-    return float(np.dot(w, o_diag) / np.sum(w))
+    """tr(e^{-beta H} O) / tr(e^{-beta H}): one point of ``thermal_expectation_grid``."""
+    return float(thermal_expectation_grid(ham, {"": obs}, [beta])[""][0])
 
 
 def thermal_expectation_grid(
     ham: PauliSum, observables: dict[str, PauliSum], betas
 ) -> dict[str, np.ndarray]:
-    """Thermal expectations of several observables over a beta grid.
+    """Thermal expectations of several observables over a beta grid, via the eigenbasis.
 
     One diagonalization and one projection per observable serve every beta.
+    The identity component of the Hamiltonian is stripped before
+    diagonalizing (it cancels in the ratio), and the exponent is shifted
+    by the minimum eigenvalue, so large beta cannot overflow.
     """
+    betas = np.asarray(betas, dtype=float)
+    if np.any(betas < 0):
+        raise ValueError("beta must be non-negative")
     c0 = ham.identity_coefficient()
     if c0 != 0:
         ham = ham - PauliSum(ham.n_sites, {0: c0})
     sd = spectral(ham)
-    betas = np.asarray(betas, dtype=float)
-    if np.any(betas < 0):
-        raise ValueError("beta must be non-negative")
     w = np.exp(-np.outer(betas, sd.eigenvalues - sd.eigenvalues[0]))
     z = w.sum(axis=1)
     out = {}
     for name, obs in observables.items():
-        o = dense_real(obs)
-        o_diag = np.einsum("ij,ij->j", sd.eigenvectors, o @ sd.eigenvectors)
+        o_diag = np.einsum("ij,ij->j", sd.eigenvectors, dense_real(obs) @ sd.eigenvectors)
         out[name] = (w @ o_diag) / z
     return out
 
@@ -144,19 +138,9 @@ def figure1_sweep(
     for g2 in g2_grid:
         ham = model.assemble(model.ModelParams(variant, n_sites, am, g2, a_mu)).hamiltonian
         values = thermal_expectation_grid(ham, observables, betas)
-        for name in observables:
-            for k, (t, beta) in enumerate(zip(t_grid, betas), start=1):
-                rows.append(
-                    {
-                        "variant": variant,
-                        "g2": g2,
-                        "k": k,
-                        "beta": beta,
-                        "T": t,
-                        "observable": name,
-                        "value": float(values[name][k - 1]),
-                    }
-                )
+        rows += [{"variant": variant, "g2": g2, "k": k, "beta": beta, "T": t, "observable": name,
+                  "value": float(values[name][k - 1])}
+                 for name in observables for k, (t, beta) in enumerate(zip(t_grid, betas), start=1)]
     return rows
 
 

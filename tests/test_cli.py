@@ -200,18 +200,26 @@ class TestCompareCommand:
         cli.cmd_oracle(tiny_config(output=str(oracle_out), t_grid=cli.T_GRID_QMETTS, **common))
         return sweep_out, oracle_out
 
+    @staticmethod
+    def _checks(test_path, reference_path, tolerance=0.05):
+        """``compare_files``' checks by name, in the order it returns them."""
+        results = cli.compare_files(str(test_path), str(reference_path), tolerance)
+        assert [r.name for r in results] == ["points", "observables"]
+        return {r.name: r for r in results}
+
     def test_compare_file_with_itself_passes(self, tmp_path):
         sweep_out, _ = self._write_pair(tmp_path)
-        passed, report = cli.compare_files(str(sweep_out), str(sweep_out), tolerance=0.0)
-        assert passed
-        assert "max deviation 0" in report
+        checks = self._checks(sweep_out, sweep_out, tolerance=0.0)
+        assert checks["points"].passed and checks["observables"].passed
+        assert "max deviation 0" in checks["observables"].detail
 
     def test_file_compared_with_itself_names_a_point(self, tmp_path):
         # every deviation is 0, so the first checked point is the largest
         sweep_out, _ = self._write_pair(tmp_path)
-        _, report = cli.compare_files(str(sweep_out), str(sweep_out))
-        assert "max deviation 0 at ('euclidean', 0.0, 2.0, 'chiral_condensate')" in report
-        assert "None" not in report
+        checks = self._checks(sweep_out, sweep_out)
+        assert ("max deviation 0 at ('euclidean', 0.0, 2.0, 'chiral_condensate')"
+                in checks["observables"].detail.splitlines())
+        assert all("None" not in check.detail for check in checks.values())
 
     def test_file_with_the_retired_b_scaling_line_still_reads(self, tmp_path):
         # every sweep file written while the 1/sqrt(C) option existed echoes it
@@ -221,26 +229,28 @@ class TestCompareCommand:
         old.write_text(text.replace("# pool=", "# b_scaling=unit\n# pool=", 1))
         assert "# b_scaling=unit\n" in old.read_text()
         assert cli.read_sweep_csv(str(old)) == cli.read_sweep_csv(str(sweep_out))
-        passed, report = cli.compare_files(str(old), str(old), tolerance=0.0)
-        assert passed, report
+        checks = self._checks(old, old, tolerance=0.0)
+        assert all(check.passed for check in checks.values()), checks
 
-    def test_compare_against_oracle(self, tmp_path):
+    def test_compare_against_oracle(self, tmp_path, capsys):
         sweep_out, oracle_out = self._write_pair(tmp_path)
-        passed, report = cli.compare_files(str(sweep_out), str(oracle_out), tolerance=0.2)
-        assert passed
-        assert "result: PASS" in report
+        checks = self._checks(sweep_out, oracle_out, tolerance=0.2)
+        assert checks["points"].passed and checks["observables"].passed
+        assert cli.main(["compare", str(sweep_out), str(oracle_out), "--tolerance", "0.2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: PASS (tolerance 0.2)"
 
-    def test_header_only_file_fails(self, tmp_path):
+    def test_header_only_file_fails(self, tmp_path, capsys):
         sweep_out, oracle_out = self._write_pair(tmp_path)
         empty = tmp_path / "empty.csv"
         empty.write_text(
             "".join(l for l in sweep_out.read_text().splitlines(True) if l.startswith("#"))
             + ",".join(cli.CSV_COLUMNS) + "\n"
         )
-        passed, report = cli.compare_files(str(empty), str(oracle_out))
-        assert not passed
-        assert "FAIL no points compared" in report
-        assert report.splitlines()[-1].startswith("result: FAIL")
+        points = self._checks(empty, oracle_out)["points"]
+        assert not points.passed
+        assert points.detail.splitlines()[0].endswith("; no points compared")
+        assert cli.main(["compare", str(empty), str(oracle_out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("result: FAIL")
 
     def test_all_nan_file_fails(self, tmp_path, capsys):
         sweep_out, oracle_out = self._write_pair(tmp_path)
@@ -252,9 +262,9 @@ class TestCompareCommand:
                 if not line.startswith("#") and parts[0] != "variant":
                     parts[cli.CSV_COLUMNS.index("value")] = "nan"
                 fh.write(",".join(parts))
-        passed, report = cli.compare_files(str(nan_out), str(oracle_out))
-        assert not passed
-        assert "non-finite values" in report
+        points = self._checks(nan_out, oracle_out)["points"]
+        assert not points.passed
+        assert "non-finite values" in points.detail
         assert cli.main(["compare", str(oracle_out), str(nan_out)]) == 1
         assert "result: FAIL" in capsys.readouterr().out
 
@@ -264,7 +274,7 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "result: PASS" in out
 
-    def test_duplicate_point_fails_in_either_file(self, tmp_path):
+    def test_duplicate_point_fails_in_either_file(self, tmp_path, capsys):
         sweep_out, oracle_out = self._write_pair(tmp_path)
         for name, original in (("sweep", sweep_out), ("oracle", oracle_out)):
             lines = original.read_text().splitlines(True)
@@ -272,12 +282,13 @@ class TestCompareCommand:
             doubled = tmp_path / f"doubled-{name}.csv"
             doubled.write_text("".join(lines) + lines[first_row])
             pair = (doubled, oracle_out) if name == "sweep" else (sweep_out, doubled)
-            passed, report = cli.compare_files(str(pair[0]), str(pair[1]), tolerance=0.2)
-            assert not passed
-            assert f"1 points of {doubled} appear more than once" in report
-            assert report.splitlines()[-1].startswith("result: FAIL")
+            points = self._checks(*pair, tolerance=0.2)["points"]
+            assert not points.passed
+            assert f"1 points of {doubled} appear more than once" in points.detail
+            assert cli.main(["compare", str(pair[0]), str(pair[1]), "--tolerance", "0.2"]) == 1
+            assert capsys.readouterr().out.splitlines()[-1].startswith("result: FAIL")
 
-    def test_failure_count_is_reported(self, tmp_path):
+    def test_failure_count_is_reported(self, tmp_path, capsys):
         common = dict(g2_start=0.0, g2_stop=0.4, g2_step=0.2, dbeta=0.25, n_steps=3)
         oracle_out = tmp_path / "oracle.csv"
         cli.cmd_oracle(tiny_config(output=str(oracle_out), t_grid=cli.T_GRID_QMETTS, **common))
@@ -289,10 +300,13 @@ class TestCompareCommand:
                     col = cli.CSV_COLUMNS.index("value")
                     parts[col] = repr(float(parts[col]) + 1.0)
                 fh.write(",".join(parts))
-        passed, report = cli.compare_files(str(shifted), str(oracle_out))
-        checked = int(report.splitlines()[0].split()[1])
-        assert not passed and checked == 18
-        assert f"{checked} of {checked} checked points fail" in report
+        checks = self._checks(shifted, oracle_out)
+        checked = int(checks["points"].detail.splitlines()[1].split()[1])
+        assert checks["points"].passed and not checks["observables"].passed and checked == 18
+        assert checks["observables"].detail.splitlines()[0] == (
+            f"{checked} of {checked} checked points fail")
+        assert cli.main(["compare", str(shifted), str(oracle_out)]) == 1
+        report = capsys.readouterr().out
         assert sum(line.startswith("FAIL (") for line in report.splitlines()) == 10
 
     def test_reference_points_missing_from_test_file_fail(self, tmp_path, capsys):
@@ -301,13 +315,56 @@ class TestCompareCommand:
         first_row = lines.index(",".join(cli.CSV_COLUMNS) + "\n") + 1
         cut = tmp_path / "cut.csv"
         cut.write_text("".join(lines[:first_row + 1]))
-        passed, report = cli.compare_files(str(cut), str(oracle_out), tolerance=0.2)
+        points = self._checks(cut, oracle_out, tolerance=0.2)["points"]
         n_ref = len(cli.read_sweep_csv(str(oracle_out))[1])
-        assert not passed
-        assert f"FAIL {n_ref - 1} of {n_ref} reference points are missing from {cut}" in report
-        assert report.splitlines()[-1].startswith("result: FAIL")
+        assert not points.passed
+        assert points.detail.splitlines()[0] == (
+            f"{n_ref - 1} of {n_ref} reference points are missing from {cut}")
+        capsys.readouterr()
         assert cli.main(["compare", str(cut), str(oracle_out), "--tolerance", "0.2"]) == 1
-        assert "reference points are missing" in capsys.readouterr().out
+        report = capsys.readouterr().out.splitlines()
+        assert report[0] == f"points       FAIL  {points.detail.splitlines()[0]}"
+        assert report[-1].startswith("result: FAIL")
+
+    def test_each_point_problem_fails_points(self, tmp_path):
+        # a NaN, a repeated point, an absent point and a grid that is all excluded
+        # each fail `points` alone, whatever `observables` says
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        lines = sweep_out.read_text().splitlines(True)
+        first_row = lines.index(",".join(cli.CSV_COLUMNS) + "\n") + 1
+        parts = lines[first_row].split(",")
+        parts[cli.CSV_COLUMNS.index("value")] = "nan"
+        for name, edited, want in (
+                ("nan", lines[:first_row] + [",".join(parts)] + lines[first_row + 1:],
+                 "1 of 8 rows of {} hold non-finite values"),
+                ("repeated", lines + [lines[first_row]], "1 points of {} appear more than once"),
+                ("absent", lines[:-1], "1 of 8 reference points are missing from {}")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(edited))
+            points = self._checks(path, oracle_out, tolerance=0.2)["points"]
+            assert not points.passed and points.detail.startswith(want.format(path))
+        # the fermion number steps between g2 = 0.6 and 0.7: both points lie in its window
+        excluded = tmp_path / "excluded.csv"
+        cli.cmd_oracle(tiny_config(output=str(excluded), t_grid=cli.T_GRID_QMETTS,
+                                   g2_start=0.6, g2_stop=0.7, g2_step=0.1, n_steps=2))
+        checks = self._checks(excluded, excluded)
+        assert not checks["points"].passed and checks["observables"].passed
+        assert checks["points"].detail.splitlines()[:2] == [
+            "no points compared", "compared 0 points (8 excluded near plateau steps)"]
+
+    def test_compare_and_validate_render_a_check_list_alike(self, tmp_path, monkeypatch, capsys):
+        sweep_out, oracle_out = self._write_pair(tmp_path)
+        cut = tmp_path / "cut.csv"
+        cut.write_text("".join(sweep_out.read_text().splitlines(True)[:-1]))
+        results = cli.compare_files(str(cut), str(oracle_out))
+        capsys.readouterr()
+        assert cli.main(["compare", str(cut), str(oracle_out)]) == 1
+        compared = capsys.readouterr().out
+        monkeypatch.setattr(cli, "run_all_checks", lambda: results)
+        assert cli.main(["validate"]) == 1
+        assert compared == capsys.readouterr().out + "result: FAIL (tolerance 0.05)\n"
+        assert compared.startswith("points       FAIL  1 of 8 reference points are missing")
+        assert "\nobservables  PASS  0 of 7 checked points fail\n" in compared
 
     def test_exclusion_window_is_printed_as_an_open_interval(self, tmp_path):
         # the low-temperature fermion number steps between g2 = 0.6 and 0.7, so
@@ -315,18 +372,19 @@ class TestCompareCommand:
         oracle_out = tmp_path / "oracle.csv"
         cli.cmd_oracle(tiny_config(output=str(oracle_out), t_grid=cli.T_GRID_QMETTS,
                                    g2_start=0.4, g2_stop=1.0, g2_step=0.1, dbeta=0.25))
-        passed, report = cli.compare_files(str(oracle_out), str(oracle_out))
-        assert passed
-        assert "exclusion window: variant=euclidean g2 in (0.4, 0.9)" in report
-        assert "compared 12 points (16 excluded near plateau steps)" in report
+        points = self._checks(oracle_out, oracle_out)["points"]
+        assert points.passed
+        assert points.detail.splitlines()[1:] == [
+            "compared 12 points (16 excluded near plateau steps)",
+            "exclusion window: variant=euclidean g2 in (0.4, 0.9)"]
 
     def _windows_of_self_compare(self, tmp_path, **grid):
         oracle_out = tmp_path / "oracle.csv"
         cli.cmd_oracle(tiny_config(output=str(oracle_out), t_grid=cli.T_GRID_QMETTS, **grid))
-        passed, report = cli.compare_files(str(oracle_out), str(oracle_out))
-        assert passed, report
-        lines = report.splitlines()
-        return lines[0], [line for line in lines if line.startswith("exclusion window")]
+        checks = self._checks(oracle_out, oracle_out)
+        assert all(check.passed for check in checks.values()), checks
+        lines = checks["points"].detail.splitlines()
+        return lines[1], [line for line in lines if line.startswith("exclusion window")]
 
     def test_coarse_grid_windows_are_narrowed_on_the_exact_curve(self, tmp_path):
         # each step falls in a 0.9-wide interval; taken whole, the windows
@@ -424,8 +482,9 @@ class TestCompareCommand:
         cli.cmd_sweep(tiny_config(output=str(shots_out), mode="shots", shots=1024,
                                   seed=2, **common))
         cli.cmd_sweep(tiny_config(output=str(exact_out), **common))
-        _, report = cli.compare_files(str(shots_out), str(exact_out), tolerance=1.0)
-        line = next(l for l in report.splitlines() if l.startswith("stderr consistency"))
+        observables = self._checks(shots_out, exact_out, tolerance=1.0)["observables"]
+        line = next(l for l in observables.detail.splitlines()
+                    if l.startswith("stderr consistency"))
         within, total = line.split(":")[1].strip().split()[0].split("/")
         assert int(total) == 80
         assert int(within) / int(total) >= 0.95
@@ -549,6 +608,15 @@ class TestValidateCommand:
         monkeypatch.setattr(qite, "_rhs_plan", flipped_plan)
         result = check_h_action_vs_dense()
         assert not result.passed and "largest |H phi - dense|" in result.detail
+
+    def test_changed_h4_fails_duality(self, monkeypatch):
+        assert checks.check_duality().passed
+        build_h4 = model.build_h4
+        monkeypatch.setattr(model, "build_h4", lambda n_sites: 2 * build_h4(n_sites))
+        result = checks.check_duality()
+        assert not result.passed
+        assert result.detail.endswith(" non-identity residual terms at g2 = 1.3")
+        assert not result.detail.startswith("0 ")
 
     def test_sector_leak_is_caught(self, monkeypatch):
         assert check_number_sector_preserved().passed
