@@ -10,7 +10,6 @@ count, and shares no code with the statevector or the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,39 +38,29 @@ def check_site_tables() -> CheckResult:
     return CheckResult("site_tables", True, "structural invariants hold")
 
 
-@lru_cache(maxsize=None)
-def _string_table(n_sites: int) -> np.ndarray:
-    """Read-only dense matrices of all 4^n strings, row j the string of packed index j."""
-    table = pauli.string_matrices(np.arange(4**n_sites)[:, None] // 4 ** np.arange(n_sites) % 4)
-    table.flags.writeable = False
-    return table
-
-
 def _dense_check(name, pairs, reduction, dense, detail) -> CheckResult:
     """Exact comparison of ``reduction(p1, p2)`` with ``dense(m1, m2)`` of the strings' matrices.
 
-    Per site count n, the strings' matrices are rows of ``_string_table(n)``,
-    ``dense`` takes every pair's matrices as (pairs, 2^n, 2^n) stacks, and the
-    results' terms are summed from one indexed product of coefficients and
-    rows.  A failure names the first failing pair in list order.
+    Per site count n, the dense matrices of all 4^n strings come from one
+    batch of Kronecker products, ``dense`` takes every pair's matrices as
+    (pairs, 2^n, 2^n) stacks, and each result is the sum of its terms'
+    matrices.  A failure names the first failing pair in list order.
     """
     failed = []
     for n in sorted({p1.n_sites for p1, _ in pairs}):
         slots = [k for k, (p1, _) in enumerate(pairs) if p1.n_sites == n]
+        digits = 4 ** np.arange(n)
+        every = pauli.string_matrices(np.arange(4**n)[:, None] // digits % 4)
         letters = np.array([pairs[k][0].letters + pairs[k][1].letters for k in slots])
-        index = letters.reshape(len(slots), 2, n) @ 4 ** np.arange(n)
-        table = _string_table(n)
-        want = dense(table[index[:, 0]], table[index[:, 1]])
-        rows, strings, coefficients = [], [], []
+        index = letters.reshape(len(slots), 2, n) @ digits
+        want = dense(every[index[:, 0]], every[index[:, 1]])
+        got = np.zeros_like(want)
         for slot, k in enumerate(slots):
             result = reduction(*pairs[k])
             if isinstance(result, pauli.PhasedString):
                 result = pauli.PauliSum(n, {result.string.packed_index: result.phase})
-            rows += [slot] * len(result.terms)
-            strings += result.terms
-            coefficients += result.terms.values()
-        got = np.zeros_like(want)
-        np.add.at(got, rows, np.array(coefficients)[:, None, None] * table[strings])
+            for j, c in result.terms.items():
+                got[slot] += c * every[j]
         failed += [k for k, ok in zip(slots, np.all(got == want, axis=(1, 2))) if not ok]
     if failed:
         p1, p2 = pairs[min(failed)]

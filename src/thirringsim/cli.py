@@ -369,7 +369,7 @@ def compare_files(test_path: str, reference_path: str,
     deviations = [(r, abs(r["value"] - reference[_row_key(r)]["value"])) for r in test_rows]
     checked = [(r, dev) for r, dev in deviations
                if oracle.away_from_steps(r["g2"], steps_by_variant[r["variant"]])]
-    failures = [(_row_key(r), dev) for r, dev in checked if dev > tolerance]
+    failures = [(_row_key(r), dev) for r, dev in checked if not dev <= tolerance]  # NaN fails
     # the epsilon absorbs the 12-significant-digit file rendering
     within_3sigma = [dev <= 3.0 * r["stderr"] + 1e-9 for r, dev in deviations
                      if r["stderr"] is not None]
@@ -386,7 +386,7 @@ def compare_files(test_path: str, reference_path: str,
     ]
     observables = [f"{len(failures)} of {len(checked)} checked points fail"]
     if checked:
-        max_row, max_dev = max(checked, key=lambda pair: pair[1])
+        max_row, max_dev = max(checked, key=lambda p: math.inf if math.isnan(p[1]) else p[1])
         observables.append(f"max deviation {max_dev:.6g} at {_row_key(max_row)}")
         observables.append(f"mean deviation {sum(dev for _, dev in checked) / len(checked):.6g}")
     if within_3sigma:

@@ -32,27 +32,31 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
-@lru_cache(maxsize=256)
-def _dense_cached(key: tuple) -> np.ndarray:
-    n_sites, items = key
-    if 2**n_sites > DIM_CAP:
-        raise ValueError(f"dimension 2^{n_sites} exceeds the oracle cap {DIM_CAP}")
-    m = to_matrix(PauliSum(n_sites, dict(items)), site_cap=n_sites)
+def _real_matrix(op: PauliSum) -> np.ndarray:
+    """Dense matrix of a Hermitian sum, checked to be real symmetric."""
+    if 2**op.n_sites > DIM_CAP:
+        raise ValueError(f"dimension 2^{op.n_sites} exceeds the oracle cap {DIM_CAP}")
+    m = to_matrix(op, site_cap=op.n_sites)
     if np.max(np.abs(m.imag)) > HERMITICITY_TOL or np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise ValueError("operator is not real symmetric in the computational basis")
-    m = np.ascontiguousarray(m.real)
+    return np.ascontiguousarray(m.real)
+
+
+@lru_cache(maxsize=256)
+def _dense_cached(key: tuple) -> np.ndarray:
+    m = _real_matrix(PauliSum(key[0], dict(key[1])))
     m.flags.writeable = False
     return m
 
 
 def dense_real(op: PauliSum) -> np.ndarray:
-    """Read-only dense matrix of a Hermitian sum, checked real symmetric; cached per operator."""
+    """Read-only ``_real_matrix`` of a Hermitian sum, cached per operator."""
     return _dense_cached(cache_key(op))
 
 
 @lru_cache(maxsize=256)
 def _spectral_cached(key: tuple) -> SpectralData:
-    h = _dense_cached(key)
+    h = _real_matrix(PauliSum(key[0], dict(key[1])))  # not cached: spectra keep only eigenpairs
     vals, vecs = np.linalg.eigh(h)
     recon = vecs @ (vals[:, None] * vecs.T)
     if np.max(np.abs(h - recon)) > 1e-10:
@@ -68,32 +72,44 @@ def spectral(ham: PauliSum) -> SpectralData:
 
 
 def thermal_expectation(ham: PauliSum, obs: PauliSum, beta: float) -> float:
-    """tr(e^{-beta H} O) / tr(e^{-beta H}): one point of ``thermal_expectation_grid``."""
-    return float(thermal_expectation_grid(ham, {"": obs}, [beta])[""][0])
+    """tr(e^{-beta H} O) / tr(e^{-beta H}) via the eigenbasis.
 
-
-def thermal_expectation_grid(
-    ham: PauliSum, observables: dict[str, PauliSum], betas
-) -> dict[str, np.ndarray]:
-    """Thermal expectations of several observables over a beta grid, via the eigenbasis.
-
-    One diagonalization and one projection per observable serve every beta.
     The identity component of the Hamiltonian is stripped before
     diagonalizing (it cancels in the ratio), and the exponent is shifted
     by the minimum eigenvalue, so large beta cannot overflow.
     """
-    betas = np.asarray(betas, dtype=float)
-    if np.any(betas < 0):
+    if beta < 0:
         raise ValueError("beta must be non-negative")
     c0 = ham.identity_coefficient()
     if c0 != 0:
         ham = ham - PauliSum(ham.n_sites, {0: c0})
     sd = spectral(ham)
+    w = np.exp(-beta * (sd.eigenvalues - sd.eigenvalues[0]))
+    o = dense_real(obs)
+    o_diag = np.einsum("ij,ij->j", sd.eigenvectors, o @ sd.eigenvectors)
+    return float(np.dot(w, o_diag) / np.sum(w))
+
+
+def thermal_expectation_grid(
+    ham: PauliSum, observables: dict[str, PauliSum], betas
+) -> dict[str, np.ndarray]:
+    """Thermal expectations of several observables over a beta grid.
+
+    One diagonalization and one projection per observable serve every beta.
+    """
+    c0 = ham.identity_coefficient()
+    if c0 != 0:
+        ham = ham - PauliSum(ham.n_sites, {0: c0})
+    sd = spectral(ham)
+    betas = np.asarray(betas, dtype=float)
+    if np.any(betas < 0):
+        raise ValueError("beta must be non-negative")
     w = np.exp(-np.outer(betas, sd.eigenvalues - sd.eigenvalues[0]))
     z = w.sum(axis=1)
     out = {}
     for name, obs in observables.items():
-        o_diag = np.einsum("ij,ij->j", sd.eigenvectors, dense_real(obs) @ sd.eigenvectors)
+        o = dense_real(obs)
+        o_diag = np.einsum("ij,ij->j", sd.eigenvectors, o @ sd.eigenvectors)
         out[name] = (w @ o_diag) / z
     return out
 

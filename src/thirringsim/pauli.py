@@ -31,7 +31,6 @@ _SITE_MATRICES = np.array([
 
 COEFF_PRUNE_TOL = 1e-14
 MATRIX_SITE_CAP = 10
-_BATCH_ENTRIES = 2**22  # 64 MiB of complex entries: to_matrix's batch at 8 sites and 64 terms
 
 
 @dataclass(frozen=True)
@@ -315,10 +314,8 @@ def string_matrices(letters) -> np.ndarray:
 def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -> np.ndarray:
     """Dense 2^N x 2^N matrix of a string, phased string, or sum (see ``string_matrices``).
 
-    A phased string is a one-term sum.  A sum's terms come from one
-    ``string_matrices`` batch (split only past ``_BATCH_ENTRIES``) and are
-    added in ascending packed order.  A string's batch of one is returned
-    unscaled, keeping the Kronecker chain's signed zeros.
+    A phased string is a one-term sum.  A sum adds its terms' matrices one
+    at a time in ascending packed order.
     """
     if isinstance(op, PhasedString):
         op = PauliSum(op.string.n_sites, {op.string.packed_index: op.phase})
@@ -330,10 +327,7 @@ def to_matrix(op, n_sites: int | None = None, site_cap: int = MATRIX_SITE_CAP) -
         raise ValueError(f"refusing to build a dense matrix on {op.n_sites} sites (cap {site_cap})")
     if isinstance(op, PauliString):
         return string_matrices([op.letters])[0]
-    terms = sorted(op.terms.items())
     m = np.zeros((2**op.n_sites, 2**op.n_sites), dtype=complex)
-    size = max(1, _BATCH_ENTRIES // m.size)
-    for batch in (terms[start:start + size] for start in range(0, len(terms), size)):
-        for (_, c), term in zip(batch, string_matrices([unpack(j, op.n_sites) for j, _ in batch])):
-            m += c * term
+    for ps, c in op.items():
+        m += c * string_matrices([ps.letters])[0]
     return m

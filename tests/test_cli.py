@@ -341,8 +341,15 @@ class TestCompareCommand:
                 ("absent", lines[:-1], "1 of 8 reference points are missing from {}")):
             path = tmp_path / f"{name}.csv"
             path.write_text("".join(edited))
-            points = self._checks(path, oracle_out, tolerance=0.2)["points"]
-            assert not points.passed and points.detail.startswith(want.format(path))
+            checks = self._checks(path, oracle_out, tolerance=0.2)
+            assert not checks["points"].passed
+            assert checks["points"].detail.startswith(want.format(path))
+            if name == "nan":
+                # a NaN deviation fails `observables` too, and is its largest deviation
+                observables = checks["observables"]
+                assert not observables.passed
+                assert observables.detail.startswith("1 of ")
+                assert "\nmax deviation nan at " in observables.detail
         # the fermion number steps between g2 = 0.6 and 0.7: both points lie in its window
         excluded = tmp_path / "excluded.csv"
         cli.cmd_oracle(tiny_config(output=str(excluded), t_grid=cli.T_GRID_QMETTS,
